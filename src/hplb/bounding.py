@@ -47,6 +47,11 @@ class BoundSpec:
             raise ParameterError(f"unknown band kind {self.band_kind!r}")
         if self.band_kind == "simulated" and self.sims < 100:
             raise ParameterError("simulated band needs sims >= 100")
+        if self.band_kind == "simulated" and self.alpha / 3.0 * (self.sims + 1) < 1.0:
+            raise ParameterError(
+                f"simulated band at alpha={self.alpha} needs (alpha/3) * (sims + 1) >= 1, "
+                f"got sims={self.sims}"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,9 @@ def effective_sizes(lambda_tilde: float, m: int, n: int, spec: BoundSpec) -> Eff
     return EffectiveSizes(q_m=q_m, q_n=q_n, m=m, n=n)
 
 
-def _band_for(sizes: EffectiveSizes, spec: BoundSpec):
-    return band_constant(
+def _middle_branch(z, sizes: EffectiveSizes, spec: BoundSpec):
+    """q_m + band(z - q_m; m_eff, n_eff) at middle-branch points q_m < z < m + n_eff."""
+    const = band_constant(
         spec.alpha / 3.0,
         sizes.m_eff,
         sizes.n_eff,
@@ -87,6 +93,7 @@ def _band_for(sizes: EffectiveSizes, spec: BoundSpec):
         sims=spec.sims,
         seed=spec.seed,
     )
+    return sizes.q_m + band_value(const, z - sizes.q_m)
 
 
 def q_bound(z, lambda_tilde: float, m: int, n: int, spec: BoundSpec):
@@ -106,29 +113,24 @@ def q_bound(z, lambda_tilde: float, m: int, n: int, spec: BoundSpec):
     if sizes.m_eff > 0 and sizes.n_eff > 0:
         mid = (z_arr > sizes.q_m) & (z_arr < m + sizes.n_eff)
         if mid.any():
-            const = _band_for(sizes, spec)
-            q[mid] = sizes.q_m + band_value(const, z_arr[mid] - sizes.q_m)
-    out = q
-    return float(out) if np.asarray(z).ndim == 0 else out
+            q[mid] = _middle_branch(z_arr[mid], sizes, spec)
+    return float(q) if z_arr.ndim == 0 else q
 
 
 def is_violated(path: CountingPath, lambda_tilde: float, spec: BoundSpec):
     """Whether sup_z (V[z] - Q(z, lambda_tilde)) > 0, plus the argmax z.
 
     Only the middle branch can be exceeded (V[z] <= min(z, m) always), so
-    the scan is restricted there.
+    the scan is restricted there.  With both effective sizes positive that
+    branch is the nonempty run z = q_m + 1, ..., m + n_eff - 1.
     """
     m, n = path.m, path.n
     sizes = effective_sizes(lambda_tilde, m, n, spec)
     if sizes.m_eff == 0 or sizes.n_eff == 0:
         return False, None
-    z = np.arange(1, m + n)
-    mid = (z > sizes.q_m) & (z < m + sizes.n_eff)
-    if not mid.any():
-        return False, None
-    const = _band_for(sizes, spec)
-    gap = path.v[mid] - (sizes.q_m + band_value(const, z[mid] - sizes.q_m))
+    z = np.arange(sizes.q_m + 1, m + sizes.n_eff)
+    gap = path.v[sizes.q_m:m + sizes.n_eff - 1] - _middle_branch(z, sizes, spec)
     k = int(np.argmax(gap))
     if gap[k] > 0.0:
-        return True, int(z[mid][k])
+        return True, int(z[k])
     return False, None

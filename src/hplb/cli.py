@@ -176,15 +176,9 @@ def _cmd_simulate(args, cfg):
     spec = _example_spec(args, cfg)
     seed = _opt(args, cfg, "seed", int)
     data, lam = gen_example(spec, RngStream(seed, 0, ("simulate",)))
-    out = _opt(args, cfg, "output")
     lines = ["score,label\n"]
     lines += [f"{float(s)!r},{int(l)}\n" for s, l in zip(data.scores, data.labels)]
-    text = "".join(lines)
-    if out is None:
-        print(text, end="")
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    hio.write_text(_opt(args, cfg, "output"), "".join(lines))
     meta = {
         "example": args.example,
         "n": args.n,
@@ -208,16 +202,11 @@ def _cmd_level(args, cfg):
         spec, args.method, bound.alpha, reps, RngStream(bound.seed, 0, ("level",)), bound
     )
     payload = {"method": args.method, "alpha": bound.alpha, "reps": reps, "exceedance": freq}
-    out = _opt(args, cfg, "output")
     if _opt(args, cfg, "format") == "json":
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         text = "method,alpha,reps,exceedance\n" + f"{args.method},{bound.alpha:.6f},{reps},{freq:.6f}\n"
-    if out is None:
-        print(text, end="")
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    hio.write_text(_opt(args, cfg, "output"), text)
     return 0
 
 

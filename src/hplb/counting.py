@@ -23,11 +23,12 @@ Both share the hypergeometric standard deviation scale
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .distributions import MEMO_SIZE, _binom_quantile
 from .errors import BandDomainError, ParameterError
 from .streams import RngStream
 
@@ -196,7 +197,10 @@ def simulate_null_sup_quantile(
 
     Each simulation draws one null path by randomly permuting m_eff ones
     among n_eff zeros and cumulating; the returned constant is the
-    ceil((1-alpha) * sims)-th order statistic of T.
+    ceil((1-alpha) * sims)-th order statistic of T.  When
+    alpha * (sims + 1) < 1 that is the sample maximum, which a fresh null
+    path exceeds with probability 1 / (sims + 1) > alpha, so such budgets
+    are rejected.
     """
     if m_eff < 1 or n_eff < 1:
         raise ParameterError("effective sizes must be at least 1")
@@ -204,6 +208,10 @@ def simulate_null_sup_quantile(
         raise ParameterError("need at least 100 simulations")
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    if alpha * (sims + 1) < 1.0:
+        raise ParameterError(
+            f"{sims} simulations cannot resolve level {alpha}: need alpha * (sims + 1) >= 1"
+        )
     N = m_eff + n_eff
     z = np.arange(1, N)
     wv = w_scale(z, m_eff, n_eff)
@@ -238,17 +246,10 @@ def band_value(const: BandConstant, z):
     return float(out) if out.ndim == 0 else out
 
 
-# The adaptive search evaluates many TV candidates whose binomial quantiles
-# coincide, so band constants repeat heavily; memoize them.  Simulated
-# constants derive their stream from the key itself, making the cache
-# content independent of evaluation order.
-_BAND_CACHE: dict = {}
-_BAND_LOCK = threading.Lock()
-
-
 def clear_band_cache() -> None:
-    with _BAND_LOCK:
-        _BAND_CACHE.clear()
+    """Empty the band-constant and binomial-quantile memos."""
+    _band_constant.cache_clear()
+    _binom_quantile.cache_clear()
 
 
 def band_constant(
@@ -269,18 +270,19 @@ def band_constant(
     structure the adaptive bisection must exclude.  Flooring only ever
     widens the band, so validity is untouched.
     """
-    use_kind = kind
     fallback = kind == "analytic" and m_eff < 8
-    if fallback:
-        use_kind = "simulated"
-    key = (round(alpha, 12), m_eff, n_eff, use_kind, sims if use_kind == "simulated" else 0,
-           seed, fallback)
-    with _BAND_LOCK:
-        hit = _BAND_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if use_kind == "analytic":
-        const = BandConstant(
+    simulated = kind == "simulated" or fallback
+    return _band_constant(alpha, m_eff, n_eff, simulated, sims if simulated else 0, seed, fallback)
+
+
+# The adaptive search evaluates many TV candidates whose binomial quantiles
+# coincide, so band constants repeat heavily.  Simulated constants derive
+# their stream from the key itself, making the memo content independent of
+# evaluation order.
+@lru_cache(maxsize=MEMO_SIZE)
+def _band_constant(alpha, m_eff, n_eff, simulated, sims, seed, fallback) -> BandConstant:
+    if not simulated:
+        return BandConstant(
             kind="analytic",
             c=beta_threshold(alpha, m_eff),
             m_eff=m_eff,
@@ -288,18 +290,15 @@ def band_constant(
             alpha=alpha,
             sims=0,
         )
-    else:
-        rng = RngStream(seed, 0, ("null-band", m_eff, n_eff, sims, round(alpha, 12)))
-        const = simulate_null_sup_quantile(alpha, m_eff, n_eff, sims, rng)
-        if fallback and const.c < (floor_c := beta_threshold(alpha, 8)):
-            const = BandConstant(
-                kind="simulated",
-                c=floor_c,
-                m_eff=m_eff,
-                n_eff=n_eff,
-                alpha=alpha,
-                sims=sims,
-            )
-    with _BAND_LOCK:
-        _BAND_CACHE[key] = const
+    rng = RngStream(seed, 0, ("null-band", m_eff, n_eff, sims, round(alpha, 12)))
+    const = simulate_null_sup_quantile(alpha, m_eff, n_eff, sims, rng)
+    if fallback and const.c < (floor_c := beta_threshold(alpha, 8)):
+        const = BandConstant(
+            kind="simulated",
+            c=floor_c,
+            m_eff=m_eff,
+            n_eff=n_eff,
+            alpha=alpha,
+            sims=sims,
+        )
     return const

@@ -1,35 +1,33 @@
-"""Binomial quantiles/CDF, the standard normal quantile, and urn stepping.
+"""Binomial quantiles and the standard normal quantile.
 
 The binomial quantile uses the convention
 
     q_alpha(p, m) = inf{ k in {0,...,m} : P(Binomial(p, m) <= k) >= alpha },
 
-so P(X <= q) >= alpha and P(X <= q-1) < alpha.  The CDF is obtained by
-cumulative summation of the probability mass function; the pmf itself is
-evaluated through log-gamma in log space and exponentiated, which stays
-stable for every trial count (a plain multiplicative recursion from k=0
-underflows around m ~ 1500 for mid-range p).
+so P(X <= q) >= alpha and P(X <= q-1) < alpha.  Both CDF values come from
+`scipy.special.bdtr` (a regularized incomplete beta function), which stays
+accurate for every trial count.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from functools import lru_cache
 
-import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtr, bdtrik, ndtri
 
 from .errors import ParameterError
-from .streams import RngStream
 
 __all__ = [
+    "MEMO_SIZE",
     "BinomialParams",
-    "HypergeomParams",
-    "binom_cdf",
     "binom_quantile",
     "normal_quantile",
-    "hypergeom_step_draw",
 ]
+
+# Entries kept by each of the package's memos (binomial quantiles here, band
+# constants in `counting`); least recently used entries are evicted first.
+MEMO_SIZE = 4096
 
 
 class BinomialParams:
@@ -46,146 +44,34 @@ class BinomialParams:
         self.m = int(m)
 
 
-class HypergeomParams:
-    """Draws z without replacement from a population N holding m successes."""
-
-    __slots__ = ("z", "N", "m")
-
-    def __init__(self, z: int, N: int, m: int):
-        if N < 1:
-            raise ParameterError("population must be positive")
-        if not (0 <= z <= N) or not (0 <= m <= N):
-            raise ParameterError(f"need 0 <= z <= N and 0 <= m <= N, got z={z}, m={m}, N={N}")
-        self.z, self.N, self.m = int(z), int(N), int(m)
-
-
-# The quantile search in the adaptive estimator queries the same (p, m)
-# pairs many times across replications; cache the cumulative arrays.
-_CDF_CACHE: dict = {}
-_CDF_LOCK = threading.Lock()
-_CDF_CACHE_MAX = 4096
-
-
-def _cdf_array(p: float, m: int) -> np.ndarray:
-    key = (p, m)
-    with _CDF_LOCK:
-        hit = _CDF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    k = np.arange(m + 1)
-    if p == 0.0:
-        cdf = np.ones(m + 1)
-    elif p == 1.0:
-        cdf = np.zeros(m + 1)
-        cdf[m] = 1.0
-    else:
-        logpmf = (
-            gammaln(m + 1)
-            - gammaln(k + 1)
-            - gammaln(m - k + 1)
-            + k * math.log(p)
-            + (m - k) * math.log1p(-p)
-        )
-        cdf = np.cumsum(np.exp(logpmf))
-        cdf = np.minimum(cdf, 1.0)
-        cdf[m] = 1.0
-    cdf.setflags(write=False)
-    with _CDF_LOCK:
-        if len(_CDF_CACHE) >= _CDF_CACHE_MAX:
-            _CDF_CACHE.clear()
-        _CDF_CACHE[key] = cdf
-    return cdf
-
-
-def binom_cdf(k: int, params: BinomialParams) -> float:
-    """P(X <= k) for X ~ Binomial(params.p, params.m); 0 below 0, 1 above m."""
-    if k < 0:
-        return 0.0
-    if k >= params.m:
-        return 1.0
-    return float(_cdf_array(params.p, params.m)[int(k)])
-
-
 def binom_quantile(alpha: float, params: BinomialParams) -> int:
     """Smallest k with CDF(k) >= alpha under the infimum convention."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"quantile level must lie in (0, 1), got {alpha}")
-    if params.p == 0.0:
+    return _binom_quantile(alpha, params.p, params.m)
+
+
+# The adaptive estimator queries the same (alpha, p, m) triples many times
+# across TV candidates and replications.
+@lru_cache(maxsize=MEMO_SIZE)
+def _binom_quantile(alpha: float, p: float, m: int) -> int:
+    if p == 0.0:
         return 0
-    if params.p == 1.0:
-        return params.m
-    cdf = _cdf_array(params.p, params.m)
-    # side='left' finds the first index whose cdf is >= alpha
-    idx = int(np.searchsorted(cdf, alpha, side="left"))
-    return min(idx, params.m)
-
-
-# Acklam's rational approximation to the standard normal quantile
-# (relative error < 1.15e-9), refined below by one Newton step.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-                ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
-def _norm_cdf_low(x: float) -> float:
-    # erfc keeps full relative accuracy in the left tail
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    if p == 1.0:
+        return m
+    # bdtrik inverts the CDF continuously; step from its ceiling until the
+    # defining bracket CDF(k-1) < alpha <= CDF(k) holds.
+    start = bdtrik(alpha, m, p)
+    k = min(max(math.ceil(start), 0), m) if math.isfinite(start) else 0
+    while k < m and bdtr(k, m, p) < alpha:
+        k += 1
+    while k > 0 and bdtr(k - 1, m, p) >= alpha:
+        k -= 1
+    return k
 
 
 def normal_quantile(alpha: float) -> float:
-    """Standard normal quantile, absolute error below 1e-9.
-
-    Rational approximation plus one Newton refinement against the
-    erfc-based CDF; levels above one half are mirrored onto the left tail
-    (the subtraction 1 - alpha is exact there), which keeps both tails at
-    full precision.
-    """
+    """Standard normal quantile at level alpha in (0, 1)."""
     if not (0.0 < alpha < 1.0) or math.isnan(alpha):
         raise ParameterError(f"quantile level must lie in (0, 1), got {alpha}")
-    if alpha > 0.5:
-        return -normal_quantile(1.0 - alpha)
-    x = _acklam(alpha)
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        x -= (_norm_cdf_low(x) - alpha) / pdf
-    return x
-
-
-def hypergeom_step_draw(rng: RngStream, remaining_successes: int, remaining_population: int) -> int:
-    """One step of the urn scheme: Bernoulli(remaining_successes / remaining_population).
-
-    Composing z such steps, decrementing the population each time and the
-    successes on every 1, draws a Hypergeometric(z, N, m) count.
-    """
-    if remaining_population < 1:
-        raise ParameterError("remaining population must be at least 1")
-    if not (0 <= remaining_successes <= remaining_population):
-        raise ParameterError(
-            f"need 0 <= successes <= population, got {remaining_successes}/{remaining_population}"
-        )
-    if remaining_successes == 0:
-        return 0
-    if remaining_successes == remaining_population:
-        return 1
-    return int(rng.random() < remaining_successes / remaining_population)
+    return float(ndtri(alpha))

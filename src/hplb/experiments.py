@@ -37,6 +37,7 @@ from .mixtures import (
     MixtureModel,
     PiecewiseUniform,
     ProductDensity,
+    _phi,
     bayes_projection,
     sigma_true,
     tv_exact,
@@ -165,12 +166,8 @@ def example_model(spec: ExampleSpec) -> tuple[MixtureModel, float]:
     base = ProductDensity([Gaussian(0.0, 1.0) for _ in range(_TOY_DIM)])
     bump = ProductDensity([Gaussian(mu, 1.0) for mu in _TOY_SHIFT])
     Q = Mixture([1.0 - eps, eps], [base, bump])
-    lam = eps * (2.0 * _phi_scalar(math.sqrt(sum(mu ** 2 for mu in _TOY_SHIFT)) / 2.0) - 1.0)
+    lam = eps * (2.0 * float(_phi(math.sqrt(sum(mu ** 2 for mu in _TOY_SHIFT)) / 2.0)) - 1.0)
     return MixtureModel(base, Q, "toy"), lam
-
-
-def _phi_scalar(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float]:

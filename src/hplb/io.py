@@ -34,6 +34,7 @@ __all__ = [
     "load_powergrid_json",
     "emit_scan",
     "emit_pairwise",
+    "write_text",
 ]
 
 
@@ -130,7 +131,8 @@ def _f6(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _write(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text with LF line endings to `path`, or to stdout when it is None."""
     if path is None:
         print(text, end="")
         return
@@ -157,7 +159,7 @@ def emit_result(result: HPLBResult, fmt: str, path=None) -> None:
             )
             + "\n"
         )
-        _write(path, buf.getvalue())
+        write_text(path, buf.getvalue())
     else:
         payload = {
             "method": result.method,
@@ -167,7 +169,7 @@ def emit_result(result: HPLBResult, fmt: str, path=None) -> None:
             if d is None
             else {"argmax_z": d.argmax_z, "evaluations": d.evaluations, "band_kind": d.band_kind},
         }
-        _write(path, json.dumps(payload, sort_keys=True) + "\n")
+        write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def emit_powergrid(result: PowerGridResult, fmt: str, path=None) -> None:
@@ -177,7 +179,7 @@ def emit_powergrid(result: PowerGridResult, fmt: str, path=None) -> None:
         buf.write("gamma,N,freq,mean_lambda\n")
         for g, N in result.cells():
             buf.write(f"{g:g},{N},{_f6(result.freq[(g, N)])},{_f6(result.mean_lambda[(g, N)])}\n")
-        _write(path, buf.getvalue())
+        write_text(path, buf.getvalue())
     else:
         payload = {
             "example_id": result.example_id,
@@ -199,7 +201,7 @@ def emit_powergrid(result: PowerGridResult, fmt: str, path=None) -> None:
                 for g, N in result.cells()
             ],
         }
-        _write(path, json.dumps(payload, sort_keys=True) + "\n")
+        write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_powergrid_json(path) -> PowerGridResult:
@@ -230,7 +232,7 @@ def emit_scan(result: SplitScanResult, fmt: str, path=None) -> None:
         for s, b, (m, n) in zip(result.splits, result.bounds, result.m_n):
             val = _f6(b.value) if b is not None else ""
             buf.write(f"{s:g},{val},{m},{n},{0 if b is not None else 1}\n")
-        _write(path, buf.getvalue())
+        write_text(path, buf.getvalue())
     else:
         payload = {
             "splits": list(result.splits),
@@ -238,7 +240,7 @@ def emit_scan(result: SplitScanResult, fmt: str, path=None) -> None:
             "m_n": [list(x) for x in result.m_n],
             "skipped": list(result.skipped),
         }
-        _write(path, json.dumps(payload, sort_keys=True) + "\n")
+        write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def emit_pairwise(matrix: np.ndarray, fmt: str, path=None) -> None:
@@ -250,6 +252,6 @@ def emit_pairwise(matrix: np.ndarray, fmt: str, path=None) -> None:
         for i in range(K):
             for j in range(i + 1, K):
                 buf.write(f"{i},{j},{_f6(matrix[i, j])}\n")
-        _write(path, buf.getvalue())
+        write_text(path, buf.getvalue())
     else:
-        _write(path, json.dumps({"matrix": matrix.tolist()}, sort_keys=True) + "\n")
+        write_text(path, json.dumps({"matrix": matrix.tolist()}, sort_keys=True) + "\n")

@@ -313,12 +313,20 @@ def _flatten_piecewise(d):
         breaks = np.unique(np.concatenate([f[0] for _, f in parts]))
         heights = np.zeros(len(breaks) - 1)
         mids = 0.5 * (breaks[1:] + breaks[:-1])
-        for w, (b, h) in parts:
-            idx = np.searchsorted(b, mids, side="right") - 1
-            inside = (idx >= 0) & (idx < len(h)) & (mids >= b[0]) & (mids <= b[-1])
-            heights[inside] += w * h[idx[inside]]
+        for w, flat in parts:
+            heights += w * _height(flat, mids)
         return breaks, heights
     return None
+
+
+def _height(flat, x):
+    """Density of a flattened (breaks, heights) pair at points x; zero outside its cells."""
+    b, h = flat
+    idx = np.searchsorted(b, x, side="right") - 1
+    ok = (idx >= 0) & (idx < len(h))
+    out = np.zeros_like(x)
+    out[ok] = h[idx[ok]]
+    return out
 
 
 def _adaptive_simpson(fn, a, b, tol):
@@ -408,16 +416,7 @@ def tv_exact(model: MixtureModel, tol: float = 1e-6) -> float:
         breaks = np.unique(np.concatenate([fp[0], fq[0]]))
         mids = 0.5 * (breaks[1:] + breaks[:-1])
         widths = np.diff(breaks)
-
-        def height(flat, x):
-            b, h = flat
-            idx = np.searchsorted(b, x, side="right") - 1
-            ok = (idx >= 0) & (idx < len(h))
-            out = np.zeros_like(x)
-            out[ok] = h[idx[ok]]
-            return out
-
-        return float(0.5 * np.sum(np.abs(height(fp, mids) - height(fq, mids)) * widths))
+        return float(0.5 * np.sum(np.abs(_height(fp, mids) - _height(fq, mids)) * widths))
     closed = _gaussian_pair_tv(model.p, model.q)
     if closed is not None:
         return closed
@@ -631,17 +630,8 @@ def _score_regions(model: MixtureModel, t: float):
         breaks = np.unique(np.concatenate([fp[0], fq[0]]))
         mids = 0.5 * (breaks[1:] + breaks[:-1])
         widths = np.diff(breaks)
-
-        def height(flat, x):
-            b, h = flat
-            idx = np.searchsorted(b, x, side="right") - 1
-            ok = (idx >= 0) & (idx < len(h))
-            out = np.zeros_like(x)
-            out[ok] = h[idx[ok]]
-            return out
-
-        f = height(fp, mids)
-        g = height(fq, mids)
+        f = _height(fp, mids)
+        g = _height(fq, mids)
         rho = np.where(f + g > 0, g / np.where(f + g > 0, f + g, 1.0), 0.5)
         sel = rho <= t
         return float(np.sum(f[sel] * widths[sel])), float(np.sum(g[sel] * widths[sel]))

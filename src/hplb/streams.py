@@ -71,15 +71,6 @@ class RngStream:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
-    def permutation(self, x):
-        return self._gen.permutation(x)
-
-    def permuted(self, x, axis=None):
-        return self._gen.permuted(x, axis=axis)
-
-    def shuffle(self, x):
-        self._gen.shuffle(x)
-
     def choice(self, a, size=None, replace=True):
         return self._gen.choice(a, size=size, replace=replace)
 

@@ -10,8 +10,8 @@ posterior scores the in-class accuracy variances are tiny (about 2e-3),
 so the fixed-cutoff bound detects the toy contamination at roughly 4.7
 standard errors and is positive in essentially every seed.  The zero
 values reported for that setup arise from weak learned classifiers, not
-from the oracle projection.  See notes/decisions.md; the assertion is
-kept as stated rather than loosened.
+from the oracle projection.  See the Notes section of README.md; the
+assertion is kept as stated rather than loosened.
 """
 
 import math
@@ -146,7 +146,7 @@ def toy_runs():
 def test_criterion_4a_toy_fixed_cutoff_zero(toy_runs):
     # Spec defect, kept as stated: with oracle scores the fixed-cutoff bound
     # detects the contamination (signal/noise ~ 4.7), so it is positive in
-    # essentially every seed.  notes/decisions.md has the full analysis.
+    # essentially every seed.  README.md (Notes) has the full analysis.
     bayes_vals, _, _ = toy_runs
     frac_zero = float(np.mean(bayes_vals == 0.0))
     ok = report("4a toy bayes zero", frac_zero >= 0.9, f"{frac_zero:.2f} >= 0.9")

@@ -177,6 +177,12 @@ def test_boundspec_validation():
         BoundSpec(band_kind="magic")
     with pytest.raises(ParameterError):
         BoundSpec(band_kind="simulated", sims=10)
+    # (alpha/3) * (sims + 1) < 1: the band would be the sample maximum
+    with pytest.raises(ParameterError):
+        BoundSpec(alpha=0.01, band_kind="simulated", sims=100)
+    with pytest.raises(ParameterError):
+        BoundSpec(alpha=0.001, band_kind="simulated", sims=1000)
+    BoundSpec(alpha=0.01, band_kind="simulated", sims=300)
 
 
 def test_quantile_convention_shared_with_envelope():

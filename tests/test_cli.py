@@ -166,3 +166,14 @@ def test_repo_datasets_estimate_under_five_seconds(name, method):
     elapsed = time.monotonic() - start
     assert proc.returncode == 0
     assert elapsed < 5.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats takes about a second and 40 MB; every CLI call
+    # would pay that at start-up, so the package keeps to scipy.special
+    code = "import sys, hplb; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

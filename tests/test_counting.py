@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import separated_scores
 from hplb import (
     BandConstant,
     BandDomainError,
+    BoundSpec,
     CountingPath,
     LabeledScores,
     ParameterError,
@@ -17,6 +19,9 @@ from hplb import (
     band_value,
     beta_threshold,
     build_counting_path,
+    counting,
+    distributions,
+    lambda_adapt,
     simulate_null_sup_quantile,
     w_scale,
 )
@@ -74,7 +79,7 @@ class TestBuildCountingPath:
             N = int(rng.integers(2, 30))
             labels = np.zeros(N, dtype=int)
             labels[int(rng.integers(0, N - 1)) + 1 :] = 1
-            rng.shuffle(labels)
+            rng.generator.shuffle(labels)
             if labels.min() == labels.max():
                 continue
             scores = np.round(rng.random(N), 1)  # coarse grid forces ties
@@ -194,6 +199,14 @@ class TestSimulatedBand:
     def test_minimum_simulation_budget(self):
         with pytest.raises(ParameterError):
             simulate_null_sup_quantile(0.05, 10, 10, sims=99, rng=RngStream(0, 0))
+        # alpha * (sims + 1) < 1 would return the sample maximum, whose
+        # exceedance 1 / (sims + 1) is above alpha
+        with pytest.raises(ParameterError):
+            simulate_null_sup_quantile(0.01 / 3, 10, 10, sims=100, rng=RngStream(0, 0))
+        with pytest.raises(ParameterError):
+            simulate_null_sup_quantile(0.001 / 3, 10, 10, sims=1000, rng=RngStream(0, 0))
+        const = simulate_null_sup_quantile(0.01, 10, 10, sims=100, rng=RngStream(0, 0))
+        assert const.c > 0.0
 
 
 class TestBandValue:
@@ -228,6 +241,24 @@ class TestBandCache:
     def test_analytic_fallback_below_guard(self):
         const = band_constant(0.05, 5, 50, "analytic", sims=200, seed=0)
         assert const.kind == "simulated"
+
+    def test_clear_empties_both_memos_and_warm_rerun_hits(self):
+        # clear_band_cache() empties the band and quantile memos, so every CLI
+        # command (and every benchmark command) starts cold; a warm rerun of
+        # lambda_adapt then answers from the memos alone
+        memos = (counting._band_constant, distributions._binom_quantile)
+        data = separated_scores(40, 60, tie_seed=3)
+        spec = BoundSpec(alpha=0.05, band_kind="simulated", sims=200, seed=5)
+        lambda_adapt(data, spec)
+        assert all(memo.cache_info().currsize > 0 for memo in memos)
+        counting.clear_band_cache()
+        assert all(memo.cache_info().currsize == 0 for memo in memos)
+        cold = lambda_adapt(data, spec)
+        misses = [memo.cache_info().misses for memo in memos]
+        warm = lambda_adapt(data, spec)
+        assert warm == cold
+        assert [memo.cache_info().misses for memo in memos] == misses
+        assert all(memo.cache_info().maxsize == distributions.MEMO_SIZE for memo in memos)
 
 
 def test_counting_path_validation_catches_bad_paths():

@@ -317,7 +317,7 @@ class TestExample2GridProperties:
     def test_power_monotone_in_sample_size(self, grids):
         # checked on the analytic-band grid: the simulated band's extra
         # finite-N power at small sizes makes its deep-tail rows wiggle by
-        # more than the Monte-Carlo slack (see decisions notes)
+        # more than the Monte-Carlo slack (see README.md, Notes)
         _, _, adapt_ana = grids
         for g in self.gammas:
             row = [adapt_ana.freq[(g, N)] for N in self.ns]
