@@ -268,10 +268,13 @@ def band_constant(
     the violation indicator non-monotone in the TV candidate (admissible
     candidates followed by violated larger ones), which is exactly the
     structure the adaptive bisection must exclude.  Flooring only ever
-    widens the band, so validity is untouched.
+    widens the band, so validity is untouched.  The fallback raises its
+    budget to ceil(1/alpha) simulations where sims could not resolve alpha.
     """
     fallback = kind == "analytic" and m_eff < 8
     simulated = kind == "simulated" or fallback
+    if fallback and alpha * (sims + 1) < 1.0:
+        sims = math.ceil(1.0 / alpha)
     return _band_constant(alpha, m_eff, n_eff, simulated, sims if simulated else 0, seed, fallback)
 
 

@@ -241,6 +241,9 @@ class TestBandCache:
     def test_analytic_fallback_below_guard(self):
         const = band_constant(0.05, 5, 50, "analytic", sims=200, seed=0)
         assert const.kind == "simulated"
+        # a budget too small for alpha is raised to ceil(1/alpha)
+        const = band_constant(0.001 / 3, 5, 50, "analytic", sims=1000, seed=0)
+        assert const.kind == "simulated" and const.sims == 3000
 
     def test_clear_empties_both_memos_and_warm_rerun_hits(self):
         # clear_band_cache() empties the band and quantile memos, so every CLI

@@ -150,6 +150,13 @@ class TestLambdaAdapt:
             loose = lambda_adapt(data, BoundSpec(alpha=0.10, band_kind=kind, seed=0)).value
             assert strict <= loose
 
+    def test_strict_alpha_on_small_sample(self):
+        # alpha = 0.001 with the default 1000 simulations cannot resolve
+        # alpha/3 by itself; the analytic band's small-m_eff fallback raises
+        # its own budget instead of failing mid-search
+        data = separated_scores(6, 6)
+        assert lambda_adapt(data, BoundSpec(alpha=0.001, band_kind="analytic")).value == 0.0
+
     def test_diagnostics_recorded(self):
         data = separated_scores(100, 100)
         result = lambda_adapt(data, ANALYTIC)
