@@ -31,9 +31,8 @@ print("H_PQ  :", "  ".join(f"{v:6.3f}" for v in parts.h_pq.pdf(xs)))
 # Latent-flag sampling: the witness frequency estimates TV itself.
 n = 50_000
 for source in ("P", "Q"):
-    draws = sample_with_witness(model, source, n, RngStream(1, 0).child(source))
-    freq = np.mean([s.w for s in draws])
-    print(f"\nwitness frequency from {source}: {freq:.4f}  (target {tv:.4f})")
-    xs = np.array([s.x for s in draws if s.w == 1])
+    x, w = sample_with_witness(model, source, n, RngStream(1, 0).child(source))
+    print(f"\nwitness frequency from {source}: {w.mean():.4f}  (target {tv:.4f})")
+    xs = x[w == 1]
     print(f"mean of witness draws     : {xs.mean():+.3f}  "
           f"({'left' if source == 'P' else 'right'} bump of the pair)")

@@ -51,7 +51,6 @@ from .mixtures import (
     PiecewiseUniform,
     ProductDensity,
     WitnessDecomposition,
-    WitnessSample,
     bayes_projection,
     bounding_operation,
     decompose,
@@ -89,7 +88,6 @@ __all__ = [
     "RngStream",
     "SplitScanResult",
     "WitnessDecomposition",
-    "WitnessSample",
     "band_constant",
     "band_value",
     "bayes_projection",

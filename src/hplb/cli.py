@@ -21,6 +21,7 @@ from .errors import DatasetError, ParameterError
 from .estimators import lambda_adapt, lambda_bayes, lambda_c
 from .experiments import (
     ExampleSpec,
+    default_scale,
     gen_example,
     pairwise_matrix,
     run_level_study,
@@ -29,16 +30,20 @@ from .experiments import (
 )
 from .streams import RngStream
 
-_DEFAULTS = {
-    "alpha": 0.05,
-    "band": "simulated",
-    "sims": 1000,
-    "seed": 0,
-    "format": "csv",
-    "epsilon": 1.0,
-    "reps": 100,
-    "pi": 0.5,
+# Every option a --config file may set: the type its flag parses to and its default.
+_OPTIONS = {
+    "alpha": (float, 0.05),
+    "band": (str, "simulated"),
+    "sims": (int, 1000),
+    "seed": (int, 0),
+    "format": (str, "csv"),
+    "output": (str, None),
+    "epsilon": (float, 1.0),
+    "reps": (int, 100),
+    "c": (float, None),
+    "pi": (float, 0.5),
 }
+_CHOICES = {"band": ("analytic", "simulated"), "format": ("csv", "json")}
 
 
 def _load_config(path):
@@ -53,29 +58,44 @@ def _load_config(path):
                     continue
                 if "=" not in line:
                     raise DatasetError(f"{path}: config lines must be key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                cfg[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                cfg[key] = _config_value(path, key, value)
     except OSError as exc:
         raise DatasetError(f"cannot read config {path}: {exc}") from exc
     return cfg
 
 
-def _opt(args, cfg, name, cast=str):
+def _config_value(path, key, text):
+    """Parse one config entry as its command-line flag would, or name what is wrong."""
+    if key not in _OPTIONS:
+        known = ", ".join(_OPTIONS)
+        raise DatasetError(f"{path}: unknown config key {key!r}; known keys: {known}")
+    cast = _OPTIONS[key][0]
+    try:
+        value = cast(text)
+    except ValueError:
+        msg = f"{path}: config key {key!r} needs a {cast.__name__}, got {text!r}"
+        raise DatasetError(msg) from None
+    if key in _CHOICES and value not in _CHOICES[key]:
+        allowed = ", ".join(_CHOICES[key])
+        raise DatasetError(f"{path}: config key {key!r} must be one of {allowed}, got {text!r}")
+    return value
+
+
+def _opt(args, cfg, name):
     """flags > config file > defaults"""
     val = getattr(args, name, None)
     if val is not None:
         return val
-    if name in cfg:
-        return cast(cfg[name])
-    return _DEFAULTS.get(name)
+    return cfg.get(name, _OPTIONS[name][1])
 
 
 def _bound_spec(args, cfg) -> BoundSpec:
     return BoundSpec(
-        alpha=_opt(args, cfg, "alpha", float),
-        band_kind=_opt(args, cfg, "band", str),
-        sims=_opt(args, cfg, "sims", int),
-        seed=_opt(args, cfg, "seed", int),
+        alpha=_opt(args, cfg, "alpha"),
+        band_kind=_opt(args, cfg, "band"),
+        sims=_opt(args, cfg, "sims"),
+        seed=_opt(args, cfg, "seed"),
     )
 
 
@@ -94,10 +114,10 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--alpha", type=float)
-        p.add_argument("--band", choices=["analytic", "simulated"])
+        p.add_argument("--band", choices=_CHOICES["band"])
         p.add_argument("--sims", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--format", choices=_CHOICES["format"])
         p.add_argument("--output", help="output path (default: stdout)")
 
     p = sub.add_parser("estimate", help="bound TV from a two-sample score file")
@@ -160,21 +180,19 @@ def _cmd_estimate(args, cfg):
 
 def _example_spec(args, cfg):
     example = args.example if args.example == "toy" else int(args.example)
-    c = _opt(args, cfg, "c", float)
-    if c is None:
-        c = 2.0 if example == 2 else 1.0
+    c = _opt(args, cfg, "c")
     return ExampleSpec(
         example_id=example,
         n_total=args.n,
         gamma=args.gamma,
-        c=c,
-        pi=_opt(args, cfg, "pi", float),
+        c=default_scale(example) if c is None else c,
+        pi=_opt(args, cfg, "pi"),
     )
 
 
 def _cmd_simulate(args, cfg):
     spec = _example_spec(args, cfg)
-    seed = _opt(args, cfg, "seed", int)
+    seed = _opt(args, cfg, "seed")
     data, lam = gen_example(spec, RngStream(seed, 0, ("simulate",)))
     lines = ["score,label\n"]
     lines += [f"{float(s)!r},{int(l)}\n" for s, l in zip(data.scores, data.labels)]
@@ -197,7 +215,7 @@ def _cmd_simulate(args, cfg):
 def _cmd_level(args, cfg):
     spec = _example_spec(args, cfg)
     bound = _bound_spec(args, cfg)
-    reps = _opt(args, cfg, "reps", int)
+    reps = _opt(args, cfg, "reps")
     freq = run_level_study(
         spec, args.method, bound.alpha, reps, RngStream(bound.seed, 0, ("level",)), bound
     )
@@ -217,12 +235,12 @@ def _cmd_powergrid(args, cfg):
         method=args.method,
         gammas=_float_list(args.gammas),
         ns=_int_list(args.ns),
-        reps=_opt(args, cfg, "reps", int),
-        epsilon=_opt(args, cfg, "epsilon", float),
+        reps=_opt(args, cfg, "reps"),
+        epsilon=_opt(args, cfg, "epsilon"),
         alpha=bound.alpha,
         rng=RngStream(bound.seed, 0, ("powergrid",)),
         bound=bound,
-        c=_opt(args, cfg, "c", float),
+        c=_opt(args, cfg, "c"),
     )
     hio.emit_powergrid(result, _opt(args, cfg, "format"), _opt(args, cfg, "output"))
     return 0

@@ -146,12 +146,13 @@ def lambda_adapt(data: LabeledScores, spec: BoundSpec | None = None) -> HPLBResu
     """Adaptive bound: the smallest TV candidate the data cannot refute.
 
     Searches the grid {k / (2N)} for the smallest candidate whose bounding
-    envelope is never exceeded by the counting path.  The grid is finer
-    than the 1/m granularity at which the binomial quantiles move, so the
-    infimum is attained on it.  Bisection exploits that violations vanish
-    as the candidate grows; an exhaustive scan of the 8 grid points below
-    the bisection answer guards the (empirically tested, unproven)
-    monotonicity.
+    envelope is never exceeded by the counting path.  The result is the
+    bisection answer on that grid, checked by an exhaustive scan of the 8
+    grid points below it.  Bisection assumes that violations vanish as the
+    candidate grows; that monotonicity is tested empirically, not proven.
+    The infimum of the unrefuted candidates need not lie on the grid, so
+    the result can exceed it by up to 1/(2N), the slack that acceptance
+    criterion 4c allows.
     """
     spec = spec or BoundSpec()
     path = build_counting_path(data)

@@ -40,7 +40,6 @@ from .mixtures import (
     _phi,
     bayes_projection,
     sigma_true,
-    tv_exact,
 )
 from .streams import RngStream
 
@@ -135,6 +134,11 @@ class ExampleSpec:
         return {"eps": 0.01}
 
 
+def default_scale(example_id) -> float:
+    """Signal scale c used when none is given: 2 for example 2, 1 otherwise."""
+    return 2.0 if example_id == 2 else 1.0
+
+
 _U_NEG = PiecewiseUniform([-1.0, 0.0], [1.0])
 _U_POS = PiecewiseUniform([0.0, 1.0], [1.0])
 _U_C = PiecewiseUniform([-2.0, -1.0], [1.0])
@@ -185,7 +189,7 @@ def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float
     return LabeledScores(scores=scores, labels=labels, tie_seed=tie_seed), lam
 
 
-def _estimate(method, data, alpha, spec, model=None, lam_true=None):
+def _estimate(method, data, alpha, spec, model=None):
     if method == "c":
         return lambda_c(data, alpha)
     if method == "bayes":
@@ -292,7 +296,7 @@ def run_power_grid(
     if example not in (1, 2):
         raise ParameterError("power grids are defined for examples 1 and 2")
     if c is None:
-        c = 1.0 if example == 1 else 2.0
+        c = default_scale(example)
     bound = bound or BoundSpec(alpha=alpha)
     freq, mean_lam = {}, {}
     for g in gammas:

@@ -31,7 +31,6 @@ __all__ = [
     "parse_multiclass",
     "emit_result",
     "emit_powergrid",
-    "load_powergrid_json",
     "emit_scan",
     "emit_pairwise",
     "write_text",
@@ -202,26 +201,6 @@ def emit_powergrid(result: PowerGridResult, fmt: str, path=None) -> None:
             ],
         }
         write_text(path, json.dumps(payload, sort_keys=True) + "\n")
-
-
-def load_powergrid_json(path) -> PowerGridResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    freq = {(c["gamma"], c["n"]): c["freq"] for c in payload["cells"]}
-    mean_lambda = {(c["gamma"], c["n"]): c["mean_lambda"] for c in payload["cells"]}
-    return PowerGridResult(
-        example_id=payload["example_id"],
-        method=payload["method"],
-        gammas=tuple(payload["gammas"]),
-        ns=tuple(payload["ns"]),
-        reps=payload["reps"],
-        epsilon=payload["epsilon"],
-        alpha=payload["alpha"],
-        c=payload["c"],
-        freq=freq,
-        mean_lambda=mean_lambda,
-        slope=payload["slope"],
-    )
 
 
 def emit_scan(result: SplitScanResult, fmt: str, path=None) -> None:

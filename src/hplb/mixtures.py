@@ -36,7 +36,6 @@ __all__ = [
     "ProductDensity",
     "FunctionDensity",
     "MixtureModel",
-    "WitnessSample",
     "WitnessDecomposition",
     "tv_exact",
     "decompose",
@@ -52,6 +51,7 @@ __all__ = [
 
 _GAUSS_TAIL_SD = 10.0  # support truncation for quadrature purposes
 _NORM_TOL = 1e-9
+_CDF_GRID_POINTS = 2 ** 16 + 1  # FunctionDensity's cumulative-trapezoid grid
 
 
 def _phi(x):
@@ -247,12 +247,11 @@ class FunctionDensity:
 
     dim = 1
 
-    def __init__(self, fn, support, grid_points: int = 2 ** 16 + 1):
+    def __init__(self, fn, support):
         self._fn = fn
         self._lo, self._hi = float(support[0]), float(support[1])
         if not self._hi > self._lo:
             raise ParameterError("support must be a nondegenerate interval")
-        self._grid_points = grid_points
         self._grid = None
         self._grid_cdf = None
 
@@ -261,7 +260,7 @@ class FunctionDensity:
 
     def _ensure_grid(self):
         if self._grid is None:
-            xs = np.linspace(self._lo, self._hi, self._grid_points)
+            xs = np.linspace(self._lo, self._hi, _CDF_GRID_POINTS)
             ys = self.pdf(xs)
             h = xs[1] - xs[0]
             cum = np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) * 0.5 * h)])
@@ -304,53 +303,48 @@ def _flatten_piecewise(d):
     if isinstance(d, PiecewiseUniform):
         return d.breaks, d.heights
     if isinstance(d, Mixture) and d.dim == 1:
-        parts = []
-        for w, c in zip(d.weights, d.components):
-            flat = _flatten_piecewise(c)
-            if flat is None:
-                return None
-            parts.append((w, flat))
-        breaks = np.unique(np.concatenate([f[0] for _, f in parts]))
+        flats = [_flatten_piecewise(c) for c in d.components]
+        if any(flat is None for flat in flats):
+            return None
+        breaks, parts = _merge_cells(flats)
         heights = np.zeros(len(breaks) - 1)
-        mids = 0.5 * (breaks[1:] + breaks[:-1])
-        for w, flat in parts:
-            heights += w * _height(flat, mids)
+        for w, h in zip(d.weights, parts):
+            heights += w * h
         return breaks, heights
     return None
 
 
-def _height(flat, x):
-    """Density of a flattened (breaks, heights) pair at points x; zero outside its cells."""
-    b, h = flat
-    idx = np.searchsorted(b, x, side="right") - 1
-    ok = (idx >= 0) & (idx < len(h))
-    out = np.zeros_like(x)
-    out[ok] = h[idx[ok]]
-    return out
+def _merge_cells(flats):
+    """Union of the breakpoints of (breaks, heights) pairs, and each pair's heights on its cells.
+
+    A pair's height is zero on cells outside its own breakpoints.
+    """
+    breaks = np.unique(np.concatenate([b for b, _ in flats]))
+    mids = 0.5 * (breaks[1:] + breaks[:-1])
+    parts = []
+    for b, h in flats:
+        idx = np.searchsorted(b, mids, side="right") - 1
+        ok = (idx >= 0) & (idx < len(h))
+        part = np.zeros_like(mids)
+        part[ok] = h[idx[ok]]
+        parts.append(part)
+    return breaks, parts
 
 
-def _adaptive_simpson(fn, a, b, tol):
-    """Plain recursive adaptive Simpson with absolute tolerance."""
+def _cells(model: MixtureModel):
+    """(widths, f, g) on the merged cells of a piecewise-uniform pair, else None."""
+    fp = _flatten_piecewise(model.p)
+    fq = _flatten_piecewise(model.q)
+    if fp is None or fq is None:
+        return None
+    breaks, (f, g) = _merge_cells([fp, fq])
+    return np.diff(breaks), f, g
 
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl = fn(lmid)
-        fr = fn(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, fl, fmid, left, tol / 2.0, depth - 1) + \
-            recurse(mid, hi, fmid, fr, fhi, right, tol / 2.0, depth - 1)
-
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+def _support(model: MixtureModel):
+    """(lo, hi) covering the supports of both P and Q (1-D models)."""
+    (p_lo, p_hi), (q_lo, q_hi) = model.p.support(), model.q.support()
+    return min(p_lo, q_lo), max(p_hi, q_hi)
 
 
 def _panel_points(d, pts):
@@ -405,18 +399,16 @@ def tv_exact(model: MixtureModel, tol: float = 1e-6) -> float:
 
     Piecewise-uniform pairs are summed exactly; equal-spread Gaussian pairs
     use 2 Phi(delta/2) - 1; contamination mixtures factor through the
-    contaminant.  Remaining one-dimensional pairs fall back to adaptive
-    Simpson at absolute tolerance `tol` on the union of supports.
+    contaminant.  Remaining one-dimensional pairs fall back to
+    scipy.integrate.quad on each panel between breakpoints and Gaussian
+    landmarks, at absolute tolerance `tol` over the union of supports.
     """
     if model.p == model.q:
         return 0.0
-    fp = _flatten_piecewise(model.p)
-    fq = _flatten_piecewise(model.q)
-    if fp is not None and fq is not None:
-        breaks = np.unique(np.concatenate([fp[0], fq[0]]))
-        mids = 0.5 * (breaks[1:] + breaks[:-1])
-        widths = np.diff(breaks)
-        return float(0.5 * np.sum(np.abs(_height(fp, mids) - _height(fq, mids)) * widths))
+    cells = _cells(model)
+    if cells is not None:
+        widths, f, g = cells
+        return float(0.5 * np.sum(np.abs(f - g) * widths))
     closed = _gaussian_pair_tv(model.p, model.q)
     if closed is not None:
         return closed
@@ -428,32 +420,25 @@ def tv_exact(model: MixtureModel, tol: float = 1e-6) -> float:
         return eps * tv_exact(MixtureModel(base, contaminant), tol)
     if model.dim != 1:
         raise ParameterError("no closed form for this multivariate pair")
-    lo = min(model.p.support()[0], model.q.support()[0])
-    hi = max(model.p.support()[1], model.q.support()[1])
+    # imported here: scipy.integrate would add about 0.26 s to `import hplb`
+    from scipy.integrate import quad
+
+    lo, hi = _support(model)
     pts = {lo, hi}
     _panel_points(model.p, pts)
     _panel_points(model.q, pts)
     knots = sorted(p for p in pts if lo <= p <= hi)
+    panel_tol = tol / (len(knots) - 1)
 
     def absdiff(x):
         return abs(float(model.p.pdf(x) - model.q.pdf(x)))
 
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b > a:
-            total += _adaptive_simpson(absdiff, a, b, tol / max(len(knots) - 1, 1))
-    return 0.5 * total
+    panels = zip(knots[:-1], knots[1:])
+    return 0.5 * sum(quad(absdiff, a, b, epsabs=panel_tol)[0] for a, b in panels)
 
 
 # ---------------------------------------------------------------------------
 # witness decomposition and sampling
-
-
-@dataclass(frozen=True)
-class WitnessSample:
-    x: object
-    w: int
-    source: str
 
 
 @dataclass(frozen=True)
@@ -474,8 +459,7 @@ def decompose(model: MixtureModel) -> WitnessDecomposition:
     if model.dim != 1:
         raise ParameterError("decomposition implemented for one-dimensional models")
     lam = tv_exact(model)
-    lo = min(model.p.support()[0], model.q.support()[0])
-    hi = max(model.p.support()[1], model.q.support()[1])
+    lo, hi = _support(model)
     f, g = model.p.pdf, model.q.pdf
 
     h_p = h_q = h_pq = None
@@ -490,6 +474,7 @@ def decompose(model: MixtureModel) -> WitnessDecomposition:
 def sample_with_witness(model: MixtureModel, source: str, count: int, rng: RngStream):
     """Draw from P or Q along with the latent witness flag.
 
+    Returns (x, w): the source's sample array and an int8 array of flags.
     Draw X from the source, then set w = 1 with probability
     (f(X) - g(X))+/f(X) for source "P" (roles swapped for "Q"); the ratio
     is taken as 0 where the denominator vanishes.  Marginally X keeps the
@@ -506,10 +491,7 @@ def sample_with_witness(model: MixtureModel, source: str, count: int, rng: RngSt
     ratio = np.zeros(count)
     pos = fx > 0
     ratio[pos] = np.clip(fx[pos] - gx[pos], 0.0, None) / fx[pos]
-    w = (rng.random(count) < ratio).astype(np.int8)
-    if model.dim == 1:
-        return [WitnessSample(float(x[i]), int(w[i]), source) for i in range(count)]
-    return [WitnessSample(np.array(x[i]), int(w[i]), source) for i in range(count)]
+    return x, (rng.random(count) < ratio).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -570,25 +552,32 @@ def mmd_projection(x_sample, y_sample, bandwidth: float, z):
 # bounding operation
 
 
-def bounding_operation(samples, bar_p: int, bar_q: int, rng: RngStream) -> CountingPath:
+def bounding_operation(labels, witness, bar_p: int, bar_q: int, rng: RngStream) -> CountingPath:
     """Dominate a witness-labeled counting path by pinning witnesses to the ends.
 
-    `samples` must be WitnessSamples sorted by projection value.  If the
-    supplied witness budgets exceed the observed counts, random
-    non-witnesses are promoted first (precleaning).  The sweep then fills
-    the first bar_p positions with first-sample witnesses and the last
-    bar_q with second-sample witnesses; only label counts matter for the
+    `labels` (0 for the first sample, 1 for the second) and `witness` (the
+    0/1 latent flags) are arrays in projection order.  If the supplied
+    witness budgets exceed the observed counts, random non-witnesses are
+    promoted first (precleaning).  The sweep then fills the first bar_p
+    positions with first-sample witnesses and the last bar_q with
+    second-sample witnesses; only label counts matter for the
     path, so the result takes V = z on the left, V = m on the right, and
     counts the surviving (non-witness) observations in order in between.
     The middle increment process is exactly the hypergeometric law on the
     reduced sizes, and the output dominates the original path pointwise.
     """
-    labels0 = np.array([s.source == "P" for s in samples], dtype=bool)
-    wit = np.array([s.w == 1 for s in samples], dtype=bool)
+    labels = np.asarray(labels)
+    witness = np.asarray(witness)
+    if labels.ndim != 1 or witness.shape != labels.shape:
+        raise ParameterError("labels and witness must be 1-D arrays of equal length")
+    if not (np.isin(labels, (0, 1)).all() and np.isin(witness, (0, 1)).all()):
+        raise ParameterError("labels and witness flags must be 0 or 1")
+    labels0 = labels == 0
+    wit = witness == 1
     m = int(labels0.sum())
     n = int((~labels0).sum())
     if m < 1 or n < 1:
-        raise ParameterError("both sources must appear among the samples")
+        raise ParameterError("both samples must appear among the labels")
     obs_p = int((wit & labels0).sum())
     obs_q = int((wit & ~labels0).sum())
     if not (obs_p <= bar_p <= m):
@@ -622,28 +611,19 @@ def bounding_operation(samples, bar_p: int, bar_q: int, rng: RngStream) -> Count
 
 def _score_regions(model: MixtureModel, t: float):
     """Mass of {z : rho*(z) <= t} under P and under Q (1-D models)."""
-    lo = min(model.p.support()[0], model.q.support()[0])
-    hi = max(model.p.support()[1], model.q.support()[1])
-    fp = _flatten_piecewise(model.p)
-    fq = _flatten_piecewise(model.q)
-    if fp is not None and fq is not None:
-        breaks = np.unique(np.concatenate([fp[0], fq[0]]))
-        mids = 0.5 * (breaks[1:] + breaks[:-1])
-        widths = np.diff(breaks)
-        f = _height(fp, mids)
-        g = _height(fq, mids)
-        rho = np.where(f + g > 0, g / np.where(f + g > 0, f + g, 1.0), 0.5)
-        sel = rho <= t
-        return float(np.sum(f[sel] * widths[sel])), float(np.sum(g[sel] * widths[sel]))
-    # dense midpoint grid; fine enough for score-region masses
-    xs = np.linspace(lo, hi, 2 ** 17 + 1)
-    mids = 0.5 * (xs[1:] + xs[:-1])
-    h = xs[1] - xs[0]
-    f = model.p.pdf(mids)
-    g = model.q.pdf(mids)
-    rho = np.where(f + g > 0, g / np.where(f + g > 0, f + g, 1.0), 0.5)
-    sel = rho <= t
-    return float(np.sum(f[sel]) * h), float(np.sum(g[sel]) * h)
+    cells = _cells(model)
+    if cells is not None:
+        widths, f, g = cells
+        f_mass, g_mass, scale = f * widths, g * widths, 1.0
+    else:
+        # dense midpoint grid; fine enough for score-region masses
+        lo, hi = _support(model)
+        xs = np.linspace(lo, hi, 2 ** 17 + 1)
+        mids = 0.5 * (xs[1:] + xs[:-1])
+        f, g = model.p.pdf(mids), model.q.pdf(mids)
+        f_mass, g_mass, scale = f, g, xs[1] - xs[0]
+    sel = np.where(f + g > 0, g / np.where(f + g > 0, f + g, 1.0), 0.5) <= t
+    return float(np.sum(f_mass[sel]) * scale), float(np.sum(g_mass[sel]) * scale)
 
 
 def score_cdf(model: MixtureModel, which: str, t: float) -> float:
@@ -656,13 +636,11 @@ def score_cdf(model: MixtureModel, which: str, t: float) -> float:
 
 def accuracy_true(model: MixtureModel, t: float):
     """Population in-class accuracies (A0, A1) of 1{rho*(z) > t}."""
-    F = score_cdf(model, "p", t)
-    G = score_cdf(model, "q", t)
+    F, G = _score_regions(model, t)
     return F, 1.0 - G
 
 
 def sigma_true(model: MixtureModel, t: float, m: int, n: int) -> float:
     """True standard deviation of F_hat(t) - G_hat(t) at sizes (m, n)."""
-    F = score_cdf(model, "p", t)
-    G = score_cdf(model, "q", t)
+    F, G = _score_regions(model, t)
     return math.sqrt(F * (1.0 - F) / m + G * (1.0 - G) / n)

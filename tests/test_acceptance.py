@@ -171,12 +171,12 @@ def test_criterion_4c_toy_adaptive_stays_below_truth(toy_runs):
 def test_criterion_5_witness_machinery():
     lam = tv_exact(GAUSS_PAIR)
     n = 100_000
-    out = sample_with_witness(GAUSS_PAIR, "P", n, RngStream(50_000, 0))
-    freq = float(np.mean([s.w for s in out]))
+    x, w = sample_with_witness(GAUSS_PAIR, "P", n, RngStream(50_000, 0))
+    freq = float(np.mean(w))
     ok_freq = report("5 witness frequency", abs(freq - 0.590) <= 0.005, f"{freq:.4f}")
 
     d = decompose(GAUSS_PAIR)
-    xs = np.array([s.x for s in out if s.w == 0])
+    xs = x[w == 0]
     stat = stats.kstest(xs, lambda v: d.h_pq.cdf(v)).statistic
     crit = 1.63 / math.sqrt(len(xs))
     ok_ks = report("5 conditional KS", stat < crit, f"{stat:.5f} < {crit:.5f}")
@@ -196,18 +196,17 @@ def test_criterion_5_witness_machinery():
     counts = {}
     for rep in range(1000):
         r = rng.child("rep", rep)
-        ps = sample_with_witness(model, "P", m, r.child("p"))
-        qs = sample_with_witness(model, "Q", n_cls, r.child("q"))
-        both = ps + qs
-        if sum(s.w for s in ps) > bar_p or sum(s.w for s in qs) > bar_q:
+        xp, wp = sample_with_witness(model, "P", m, r.child("p"))
+        xq, wq = sample_with_witness(model, "Q", n_cls, r.child("q"))
+        if wp.sum() > bar_p or wq.sum() > bar_q:
             continue
-        rho = bayes_projection(model, np.array([s.x for s in both]))
-        jitter = r.child("ties").random(len(both))
+        rho = bayes_projection(model, np.concatenate([xp, xq]))
+        jitter = r.child("ties").random(m + n_cls)
         order = np.lexsort((jitter, rho))
-        samples = [both[i] for i in order]
-        labels = np.array([0 if s.source == "P" else 1 for s in samples])
+        labels = np.repeat(np.array([0, 1], dtype=np.int8), [m, n_cls])[order]
         plain_v = np.cumsum(labels == 0)[:-1]
-        bounded = bounding_operation(samples, bar_p, bar_q, r.child("op"))
+        witness = np.concatenate([wp, wq])[order]
+        bounded = bounding_operation(labels, witness, bar_p, bar_q, r.child("op"))
         total += 1
         dominated += bool((bounded.v >= plain_v).all())
         k = int(bounded.v[bar_p + j - 1] - bar_p)

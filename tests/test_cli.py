@@ -124,6 +124,22 @@ def test_config_precedence(tmp_path):
     assert b.stdout.splitlines()[1].split(",")[1] == "0.020000"
 
 
+@pytest.mark.parametrize(
+    "line,key",
+    [("alpah=0.2", "alpah"), ("format=xml", "format"), ("alpha=abc", "alpha")],
+    ids=["unknown-key", "bad-choice", "bad-cast"],
+)
+def test_bad_config_entry_exits_2_naming_file_and_key(tmp_path, line, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    path = tmp_path / "d.csv"
+    path.write_text("score,label\n0.1,0\n0.2,0\n0.8,1\n0.9,1\n", encoding="utf-8")
+    proc = run("--config", str(cfg), "estimate", "--input", str(path), "--method", "bayes")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert str(cfg) in proc.stderr and repr(key) in proc.stderr
+
+
 def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):
@@ -169,11 +185,12 @@ def test_repo_datasets_estimate_under_five_seconds(name, method):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats takes about a second and 40 MB; every CLI call
-    # would pay that at start-up, so the package keeps to scipy.special
-    code = "import sys, hplb; print('scipy.stats' in sys.modules)"
+    # importing scipy.stats takes about a second and 40 MB, scipy.integrate
+    # about a quarter second; every CLI call would pay that at start-up, so
+    # the package keeps to scipy.special and imports quad only where used
+    code = "import sys, hplb; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

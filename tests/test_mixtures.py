@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from hplb import (
@@ -15,7 +16,6 @@ from hplb import (
     ParameterError,
     PiecewiseUniform,
     RngStream,
-    WitnessSample,
     bayes_projection,
     binom_quantile,
     BinomialParams,
@@ -151,28 +151,28 @@ class TestDecompose:
 
 class TestWitnessSampling:
     def test_identical_distributions_have_no_witnesses(self):
-        out = sample_with_witness(MixtureModel(U_POS, U_POS), "P", 500, RngStream(1, 0))
-        assert all(s.w == 0 for s in out)
+        _, w = sample_with_witness(MixtureModel(U_POS, U_POS), "P", 500, RngStream(1, 0))
+        assert (w == 0).all()
 
     def test_disjoint_supports_all_witnesses(self):
-        out = sample_with_witness(MixtureModel(U_NEG, U_POS), "P", 500, RngStream(2, 0))
-        assert all(s.w == 1 for s in out)
+        _, w = sample_with_witness(MixtureModel(U_NEG, U_POS), "P", 500, RngStream(2, 0))
+        assert (w == 1).all()
 
     def test_witness_frequency_and_marginal_law(self):
         lam = tv_exact(GAUSS_PAIR)
         n = 100_000
-        out = sample_with_witness(GAUSS_PAIR, "P", n, RngStream(3, 0))
-        freq = np.mean([s.w for s in out])
+        xs, w = sample_with_witness(GAUSS_PAIR, "P", n, RngStream(3, 0))
+        assert xs.shape == w.shape == (n,) and w.dtype == np.int8
+        freq = np.mean(w)
         assert abs(freq - lam) <= 3 * math.sqrt(lam * (1 - lam) / n)
-        xs = np.array([s.x for s in out])
         # marginal stays the source law (1% critical value)
         assert stats.kstest(xs, lambda v: GAUSS_PAIR.p.cdf(v)).statistic < 1.63 / math.sqrt(n)
 
     def test_conditional_law_given_no_witness(self):
         d = decompose(GAUSS_PAIR)
         n = 100_000
-        out = sample_with_witness(GAUSS_PAIR, "Q", n, RngStream(4, 0))
-        xs = np.array([s.x for s in out if s.w == 0])
+        x, w = sample_with_witness(GAUSS_PAIR, "Q", n, RngStream(4, 0))
+        xs = x[w == 0]
         stat = stats.kstest(xs, lambda v: d.h_pq.cdf(v)).statistic
         assert stat < 1.63 / math.sqrt(len(xs))
 
@@ -326,43 +326,42 @@ class TestQuantileGapRate:
 
 
 def _sorted_witness_sample(model, m, n, rng):
-    ps = sample_with_witness(model, "P", m, rng.child("p"))
-    qs = sample_with_witness(model, "Q", n, rng.child("q"))
-    both = ps + qs
-    rho = bayes_projection(model, np.array([s.x for s in both]))
-    jitter = rng.child("ties").random(len(both))
+    """Labels and witness flags of m + n witness draws, in projection order."""
+    xp, wp = sample_with_witness(model, "P", m, rng.child("p"))
+    xq, wq = sample_with_witness(model, "Q", n, rng.child("q"))
+    rho = bayes_projection(model, np.concatenate([xp, xq]))
+    jitter = rng.child("ties").random(m + n)
     order = np.lexsort((jitter, rho))
-    return [both[i] for i in order]
+    labels = np.repeat(np.array([0, 1], dtype=np.int8), [m, n])
+    return labels[order], np.concatenate([wp, wq])[order]
 
 
 class TestBoundingOperation:
     def test_exact_counts_and_extreme_positions_identity(self):
         # witnesses already at the ends + tight budgets leave the path alone
-        samples = (
-            [WitnessSample(0.0 + i, 1, "P") for i in range(2)]
-            + [WitnessSample(10.0 + i, 0, "P") for i in range(3)]
-            + [WitnessSample(20.0 + i, 0, "Q") for i in range(3)]
-            + [WitnessSample(30.0 + i, 1, "Q") for i in range(2)]
-        )
-        path = bounding_operation(samples, 2, 2, RngStream(0, 0))
         labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
+        witness = np.array([1, 1, 0, 0, 0, 0, 0, 0, 1, 1])
+        path = bounding_operation(labels, witness, 2, 2, RngStream(0, 0))
         expected = np.cumsum(labels == 0)[:-1]
         assert path.v.tolist() == expected.tolist()
 
     def test_full_left_budget_forces_identity_ramp(self):
-        samples = [WitnessSample(float(i), int(i < 1), "P") for i in range(4)] + [
-            WitnessSample(10.0 + i, 0, "Q") for i in range(4)
-        ]
-        path = bounding_operation(samples, 4, 0, RngStream(1, 0))
+        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        witness = np.array([1, 0, 0, 0, 0, 0, 0, 0])
+        path = bounding_operation(labels, witness, 4, 0, RngStream(1, 0))
         z = np.arange(1, 8)
         assert (path.v[: 4] == z[: 4]).all()
 
     def test_budget_validation(self):
-        samples = [WitnessSample(0.0, 1, "P"), WitnessSample(1.0, 0, "Q")]
+        labels, witness = np.array([0, 1]), np.array([1, 0])
         with pytest.raises(ParameterError):
-            bounding_operation(samples, 2, 0, RngStream(0, 0))
+            bounding_operation(labels, witness, 2, 0, RngStream(0, 0))
         with pytest.raises(ParameterError):
-            bounding_operation(samples, 0, 0, RngStream(0, 0))  # below observed count
+            bounding_operation(labels, witness, 0, 0, RngStream(0, 0))  # below observed count
+        with pytest.raises(ParameterError):
+            bounding_operation(np.array([0, 2]), witness, 1, 0, RngStream(0, 0))
+        with pytest.raises(ParameterError):
+            bounding_operation(labels, np.array([2, 0]), 1, 0, RngStream(0, 0))
 
     def test_dominance_and_path_validity(self):
         delta = 0.2
@@ -372,14 +371,67 @@ class TestBoundingOperation:
         bar_q = binom_quantile(1 - 0.01, BinomialParams(delta, n)) + 8
         rng = RngStream(42, 0)
         for rep in range(200):
-            samples = _sorted_witness_sample(model, m, n, rng.child("rep", rep))
-            if sum(s.w for s in samples if s.source == "P") > bar_p:
+            labels, witness = _sorted_witness_sample(model, m, n, rng.child("rep", rep))
+            if witness[labels == 0].sum() > bar_p:
                 continue
-            if sum(s.w for s in samples if s.source == "Q") > bar_q:
+            if witness[labels == 1].sum() > bar_q:
                 continue
-            # the plain path must use the same realized ordering as `samples`
-            labels = np.array([0 if s.source == "P" else 1 for s in samples])
+            # the plain path must use the same realized ordering as the flags
             plain_v = np.cumsum(labels == 0)[:-1]
-            bounded = bounding_operation(samples, bar_p, bar_q, rng.child("op", rep))
+            bounded = bounding_operation(labels, witness, bar_p, bar_q, rng.child("op", rep))
             bounded.validate()
             assert (bounded.v >= plain_v).all()
+
+
+@st.composite
+def _witness_problems(draw):
+    """Labels and flags in projection order; budgets from the observed count to the class size."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    labels = np.array(draw(st.permutations([0] * m + [1] * n)), dtype=np.int8)
+    flags = draw(st.lists(st.integers(0, 1), min_size=m + n, max_size=m + n))
+    witness = np.array(flags, dtype=np.int8)
+    obs_p = int(witness[labels == 0].sum())
+    obs_q = int(witness[labels == 1].sum())
+    bar_p = draw(st.integers(obs_p, m))
+    bar_q = draw(st.integers(obs_q, n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return labels, witness, bar_p, bar_q, seed
+
+
+class TestBoundingOperationProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_witness_problems())
+    def test_pinned_ends_dominate_plain_path(self, problem):
+        labels, witness, bar_p, bar_q, seed = problem
+        m, N = int((labels == 0).sum()), len(labels)
+        path = bounding_operation(labels, witness, bar_p, bar_q, RngStream(seed, 0))
+        path.validate()
+        assert (path.v >= np.cumsum(labels == 0)[:-1]).all()
+        full = np.append(path.v, m)  # V_N = m closes every path
+        assert (full[:bar_p] == np.arange(1, bar_p + 1)).all()
+        assert (full[N - bar_q:] == m).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_witness_problems())
+    def test_out_of_range_budgets_raise(self, problem):
+        labels, witness, bar_p, bar_q, seed = problem
+        m, n = int((labels == 0).sum()), int((labels == 1).sum())
+        obs_p = int(witness[labels == 0].sum())
+        obs_q = int(witness[labels == 1].sum())
+        bad = [(m + 1, bar_q), (bar_p, n + 1)]
+        bad += [(obs_p - 1, bar_q)] if obs_p else []
+        bad += [(bar_p, obs_q - 1)] if obs_q else []
+        for bp, bq in bad:
+            with pytest.raises(ParameterError):
+                bounding_operation(labels, witness, bp, bq, RngStream(seed, 0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_witness_problems(), st.integers(1, 3))
+    def test_unequal_lengths_raise(self, problem, extra):
+        labels, witness, bar_p, bar_q, seed = problem
+        longer = np.append(witness, [0] * extra)
+        with pytest.raises(ParameterError):
+            bounding_operation(labels, longer, bar_p, bar_q, RngStream(seed, 0))
+        with pytest.raises(ParameterError):
+            bounding_operation(labels[:-1], witness, bar_p, bar_q, RngStream(seed, 0))
