@@ -92,6 +92,7 @@ def _middle_branch(z, sizes: EffectiveSizes, spec: BoundSpec):
         spec.band_kind,
         sims=spec.sims,
         seed=spec.seed,
+        removed=(sizes.q_m, sizes.q_n),
     )
     return sizes.q_m + band_value(const, z - sizes.q_m)
 

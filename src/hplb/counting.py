@@ -11,9 +11,9 @@ in z:
 
 * analytic: mean line + beta * w(z, m, n), with beta the iterated-logarithm
   threshold (valid asymptotically, conservative at small sizes);
-* simulated: mean line + c * w(z, m, n), with c the empirical (1-alpha)
-  quantile of the simulated normalized sup statistic (valid by
-  construction as the simulation budget grows).
+* simulated: mean line + c * w(z, m, n), with c the Monte Carlo
+  rank-rule (1-alpha) quantile of simulated normalized sup statistics
+  (exact at every simulation budget that resolves alpha).
 
 Both share the hypergeometric standard deviation scale
 
@@ -23,8 +23,10 @@ Both share the hypergeometric standard deviation scale
 from __future__ import annotations
 
 import math
+import threading
+from collections import namedtuple
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -192,15 +194,25 @@ def simulate_null_sup_quantile(
     n_eff: int,
     sims: int,
     rng: RngStream,
+    removed: tuple = (0, 0),
 ) -> BandConstant:
-    """Empirical (1-alpha) quantile of T = max_z (V[z] - z m/N) / w(z).
+    """Monte Carlo (1-alpha) quantile of T = max_z (V[z] - z m_eff/N_eff) / w(z).
 
-    Each simulation draws one null path by randomly permuting m_eff ones
-    among n_eff zeros and cumulating; the returned constant is the
-    ceil((1-alpha) * sims)-th order statistic of T.  When
-    alpha * (sims + 1) < 1 that is the sample maximum, which a fresh null
-    path exceeds with probability 1 / (sims + 1) > alpha, so such budgets
-    are rejected.
+    The simulations cut one null draw: `sims` uniform permutations of the
+    ids 0..N-1, N = m + n with m = m_eff + q_m, n = n_eff + q_n and
+    (q_m, q_n) = `removed`.  Ids below m are ones, the rest zeros.  Each
+    row drops the q_m smallest one-ids and the q_n smallest zero-ids;
+    deleting a fixed id set from a uniform permutation leaves a uniform
+    arrangement of the rest, so every row is an exact null path of m_eff
+    ones among n_eff zeros.  The draw restarts `rng` from its identity and
+    depends on that and (N, sims) only, so constants with another
+    `removed` cut the same draw, which is kept between calls (see
+    `_null_draw`).
+
+    The constant is the k-th smallest T with k = ceil((1-alpha)(sims+1)),
+    the Monte Carlo rank rule (Besag & Clifford 1989): a fresh null path
+    exceeds it with probability (sims + 1 - k) / (sims + 1) <= alpha.
+    Budgets with k > sims, that is alpha (sims + 1) < 1, are rejected.
     """
     if m_eff < 1 or n_eff < 1:
         raise ParameterError("effective sizes must be at least 1")
@@ -208,29 +220,73 @@ def simulate_null_sup_quantile(
         raise ParameterError("need at least 100 simulations")
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if alpha * (sims + 1) < 1.0:
+    # ceil((1-alpha)(sims+1)) written so that alpha (sims + 1) = 1 gives sims
+    k = sims + 1 - math.floor(alpha * (sims + 1))
+    if k > sims:
         raise ParameterError(
             f"{sims} simulations cannot resolve level {alpha}: need alpha * (sims + 1) >= 1"
         )
-    N = m_eff + n_eff
-    z = np.arange(1, N)
+    q_m, q_n = removed
+    if q_m < 0 or q_n < 0:
+        raise ParameterError("removed counts must be nonnegative")
+    m, n, N_eff = m_eff + q_m, n_eff + q_n, m_eff + n_eff
+    z = np.arange(1, N_eff)
+    mean = z * (m_eff / N_eff)
     wv = w_scale(z, m_eff, n_eff)
-    mean = z * (m_eff / N)
-    base = np.concatenate([np.ones(m_eff, dtype=np.int8), np.zeros(n_eff, dtype=np.int8)])
-    T = np.empty(sims)
-    # chunk the sims x N matrix to bound memory
-    block = max(1, min(sims, int(4_000_000 // max(N, 1)) or 1))
-    done = 0
+    T = []
+    for ids in _null_draw(rng, m + n, sims):
+        X = np.cumsum(_cut(ids, m, q_m, q_n), axis=1, dtype=np.int32)[:, :-1] - mean
+        X /= wv
+        T.append(X.max(axis=1))
+    T = np.sort(np.concatenate(T))
+    return BandConstant(
+        kind="simulated", c=float(T[k - 1]), m_eff=m_eff, n_eff=n_eff, alpha=alpha, sims=sims
+    )
+
+
+# The null draw comes in row chunks of at most _CHUNK_IDS ids, which also
+# bounds the temporaries of a cut.  A draw of at most _DRAW_BUDGET bytes is
+# kept for the next constant; a larger one (N near 1e5 with 1000 sims) is
+# drawn again from the start of its stream for every constant, with the
+# same values.
+_CHUNK_IDS = 1 << 17
+_DRAW_BUDGET = 64 << 20
+
+
+def _id_dtype(N: int) -> np.dtype:
+    return np.dtype(np.uint16 if N <= 1 << 16 else np.uint32)
+
+
+def _draw_rows(rng: RngStream, N: int, sims: int):
+    """Yield the null draw's row chunks: uniform permutations of 0..N-1.
+
+    `permuted` shuffles row after row alike whatever the dtype and the
+    chunking, so the ids below m mark the ones of the 0/1 rows that the
+    same generator would shuffle: an uncut draw reproduces those rows.
+    """
     gen = rng.generator
-    while done < sims:
-        b = min(block, sims - done)
-        paths = gen.permuted(np.broadcast_to(base, (b, N)).copy(), axis=1)
-        V = np.cumsum(paths, axis=1, dtype=np.int64)[:, :-1]
-        T[done:done + b] = ((V - mean) / wv).max(axis=1)
-        done += b
-    T.sort()
-    c = float(T[math.ceil((1.0 - alpha) * sims) - 1])
-    return BandConstant(kind="simulated", c=c, m_eff=m_eff, n_eff=n_eff, alpha=alpha, sims=sims)
+    rows = max(1, min(sims, _CHUNK_IDS // N))
+    for start in range(0, sims, rows):
+        shape = (min(rows, sims - start), N)
+        ids = np.broadcast_to(np.arange(N, dtype=_id_dtype(N)), shape).copy()
+        yield gen.permuted(ids, axis=1, out=ids)
+
+
+def _null_draw(rng: RngStream, N: int, sims: int):
+    """The null draw of `rng`: the stored chunks if they fit the budget, else fresh ones."""
+    if sims * N * _id_dtype(N).itemsize > _DRAW_BUDGET:
+        return _draw_rows(RngStream(*rng.identity), N, sims)
+    return _stored_draw(rng.identity, N, sims)
+
+
+def _cut(ids: np.ndarray, m: int, q_m: int, q_n: int) -> np.ndarray:
+    """One-flags of the rows of `ids` without the ids 0..q_m-1 and m..m+q_n-1.
+
+    Every row of a permutation keeps the same number of ids, so the kept
+    flags reshape to (rows, N - q_m - q_n).
+    """
+    keep = (ids >= q_m) & ((ids < m) | (ids >= m + q_n))
+    return (ids < m)[keep].reshape(len(ids), -1)
 
 
 def band_value(const: BandConstant, z):
@@ -247,8 +303,9 @@ def band_value(const: BandConstant, z):
 
 
 def clear_band_cache() -> None:
-    """Empty the band-constant and binomial-quantile memos."""
+    """Empty the band-constant, null-draw and binomial-quantile memos."""
     _band_constant.cache_clear()
+    _stored_draw.cache_clear()
     _binom_quantile.cache_clear()
 
 
@@ -259,8 +316,15 @@ def band_constant(
     kind: str,
     sims: int = 1000,
     seed: int = 0,
+    removed: tuple = (0, 0),
 ) -> BandConstant:
     """Memoized band constant; analytic kind falls back to simulated below m_eff = 8.
+
+    A simulated constant is cut from the null draw of the full sizes
+    (m_eff + q_m, n_eff + q_n), (q_m, q_n) = `removed`, so every TV
+    candidate of one sample shares a single draw (see
+    `simulate_null_sup_quantile`).  The analytic fallback draws at its own
+    sizes, so the analytic band never pays for a full-size draw.
 
     The fallback constant is floored at the guard-boundary analytic
     threshold beta(alpha, 8).  Without the floor the envelope family would
@@ -275,15 +339,80 @@ def band_constant(
     simulated = kind == "simulated" or fallback
     if fallback and alpha * (sims + 1) < 1.0:
         sims = math.ceil(1.0 / alpha)
-    return _band_constant(alpha, m_eff, n_eff, simulated, sims if simulated else 0, seed, fallback)
+    removed = tuple(removed) if kind == "simulated" else (0, 0)
+    return _band_constant(
+        alpha, m_eff, n_eff, simulated, sims if simulated else 0, seed, fallback, removed
+    )
 
 
-# The adaptive search evaluates many TV candidates whose binomial quantiles
-# coincide, so band constants repeat heavily.  Simulated constants derive
-# their stream from the key itself, making the memo content independent of
-# evaluation order.
-@lru_cache(maxsize=MEMO_SIZE)
-def _band_constant(alpha, m_eff, n_eff, simulated, sims, seed, fallback) -> BandConstant:
+_CacheInfo = namedtuple("CacheInfo", "misses maxsize currsize")
+_MISSING = object()
+
+
+class _SingleFlight:
+    """Bounded memo of `fn` whose concurrent misses on one key compute once.
+
+    A hit reads the entries without the lock (a dict read is atomic).  The
+    first caller to miss a key computes it, and callers arriving meanwhile
+    wait on its future instead of computing again.  A failed computation
+    stores nothing.  The oldest entry makes room for a new one, evicted
+    when the miss starts so that a large entry is freed before its
+    successor is built.
+    """
+
+    def __init__(self, fn, maxsize: int):
+        self._fn = fn
+        self._maxsize = maxsize
+        self._entries = {}
+        self._pending = {}
+        self._lock = threading.Lock()
+        self._misses = 0
+
+    def _make_room(self) -> None:
+        while len(self._entries) >= self._maxsize:
+            del self._entries[next(iter(self._entries))]
+
+    def __call__(self, *key):
+        value = self._entries.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is not _MISSING:
+                return value
+            future = self._pending.get(key)
+            owner = future is None
+            if owner:
+                self._misses += 1
+                future = self._pending[key] = Future()
+                self._make_room()
+        if not owner:
+            return future.result()
+        try:
+            value = self._fn(*key)
+        except BaseException as exc:
+            with self._lock:
+                del self._pending[key]
+            future.set_exception(exc)
+            raise
+        with self._lock:
+            del self._pending[key]
+            self._make_room()
+            self._entries[key] = value
+        future.set_result(value)
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._misses, self._maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._misses = 0
+
+
+def _compute_band_constant(alpha, m_eff, n_eff, simulated, sims, seed, fallback, removed):
     if not simulated:
         return BandConstant(
             kind="analytic",
@@ -293,8 +422,9 @@ def _band_constant(alpha, m_eff, n_eff, simulated, sims, seed, fallback) -> Band
             alpha=alpha,
             sims=0,
         )
-    rng = RngStream(seed, 0, ("null-band", m_eff, n_eff, sims, round(alpha, 12)))
-    const = simulate_null_sup_quantile(alpha, m_eff, n_eff, sims, rng)
+    q_m, q_n = removed
+    rng = RngStream(seed, 0, ("null-band", m_eff + q_m, n_eff + q_n, sims, round(alpha, 12)))
+    const = simulate_null_sup_quantile(alpha, m_eff, n_eff, sims, rng, removed=removed)
     if fallback and const.c < (floor_c := beta_threshold(alpha, 8)):
         const = BandConstant(
             kind="simulated",
@@ -305,3 +435,14 @@ def _band_constant(alpha, m_eff, n_eff, simulated, sims, seed, fallback) -> Band
             sims=sims,
         )
     return const
+
+
+# The adaptive search evaluates many TV candidates whose binomial quantiles
+# coincide, so band constants repeat heavily.  A simulated constant derives
+# its stream from its full sizes, so the memo content is independent of
+# evaluation order.  One null draw is kept: every candidate of a sample cuts
+# the same one, and samples are bounded one after another.
+_band_constant = _SingleFlight(_compute_band_constant, MEMO_SIZE)
+_stored_draw = _SingleFlight(
+    lambda identity, N, sims: tuple(_draw_rows(RngStream(*identity), N, sims)), 1
+)

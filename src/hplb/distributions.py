@@ -25,8 +25,8 @@ __all__ = [
     "normal_quantile",
 ]
 
-# Entries kept by each of the package's memos (binomial quantiles here, band
-# constants in `counting`); least recently used entries are evicted first.
+# Entries kept by each of the package's memos: binomial quantiles here evict
+# the least recently used entry, band constants in `counting` the oldest.
 MEMO_SIZE = 4096
 
 

@@ -112,6 +112,13 @@ class ExampleSpec:
             raise ParameterError("class balance must lie in (0, 1)")
         self._derived()  # validate derived parameters now
 
+    def class_sizes(self) -> tuple[int, int]:
+        """(m, n) = (floor(pi N), N - m): draws from P, then from Q."""
+        m = int(self.pi * self.n_total)
+        if m < 1 or m >= self.n_total:
+            raise ParameterError("class balance leaves an empty class")
+        return m, self.n_total - m
+
     def signal(self) -> float:
         return self.c * (self.n_total ** self.gamma if self.gamma is not None else 1.0)
 
@@ -177,10 +184,7 @@ def example_model(spec: ExampleSpec) -> tuple[MixtureModel, float]:
 def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float]:
     """Draw m = floor(pi N) points from P and the rest from Q, scored by rho*."""
     model, lam = example_model(spec)
-    m = int(spec.pi * spec.n_total)
-    n = spec.n_total - m
-    if m < 1 or n < 1:
-        raise ParameterError("class balance leaves an empty class")
+    m, n = spec.class_sizes()
     xs = model.p.sample(m, rng.child("sample-p"))
     ys = model.q.sample(n, rng.child("sample-q"))
     scores = np.concatenate([bayes_projection(model, xs), bayes_projection(model, ys)])
@@ -189,7 +193,7 @@ def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float
     return LabeledScores(scores=scores, labels=labels, tie_seed=tie_seed), lam
 
 
-def _estimate(method, data, alpha, spec, model=None):
+def _estimate(method, data, alpha, spec, sigma=None):
     if method == "c":
         return lambda_c(data, alpha)
     if method == "bayes":
@@ -197,8 +201,7 @@ def _estimate(method, data, alpha, spec, model=None):
     if method == "adapt":
         return lambda_adapt(data, spec)
     if method == "oracle_t":
-        sig = sigma_true(model, 0.5, data.m, data.n)
-        return lambda_oracle_t(data, 0.5, sig, alpha)
+        return lambda_oracle_t(data, 0.5, sigma, alpha)
     raise ParameterError(f"unknown method {method!r}; choose from {_METHODS}")
 
 
@@ -214,11 +217,15 @@ def run_level_study(
     if reps < 100:
         raise ParameterError("need at least 100 replications")
     bound = bound or BoundSpec(alpha=alpha)
-    model, _ = example_model(spec)
+    # every replication has the class sizes of `spec`, so oracle_t's true
+    # standard deviation is computed once, before any replication runs
+    sigma = None
+    if method == "oracle_t":
+        sigma = sigma_true(example_model(spec)[0], 0.5, *spec.class_sizes())
 
     def one(i):
         data, lam = gen_example(spec, rng.child("rep", i))
-        est = _estimate(method, data, alpha, bound, model=model)
+        est = _estimate(method, data, alpha, bound, sigma=sigma)
         return est.value > lam
 
     hits = _map_indexed(one, reps)

@@ -611,6 +611,11 @@ def bounding_operation(labels, witness, bar_p: int, bar_q: int, rng: RngStream) 
 
 def _score_regions(model: MixtureModel, t: float):
     """Mass of {z : rho*(z) <= t} under P and under Q (1-D models)."""
+    if model.dim != 1:
+        raise ParameterError(
+            f"score-region masses need a one-dimensional model; "
+            f"model {model.label!r} is {model.dim}-dimensional"
+        )
     cells = _cells(model)
     if cells is not None:
         widths, f, g = cells

@@ -60,6 +60,11 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return self._gen
 
+    @property
+    def identity(self) -> tuple:
+        """(root_seed, stream_id, tags): `RngStream(*identity)` restarts this stream."""
+        return (self.root_seed, self.stream_id, self._tags)
+
     # Thin passthroughs used throughout the package.
 
     def random(self, size=None):

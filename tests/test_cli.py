@@ -89,6 +89,15 @@ def test_level_command(tmp_path):
     assert payload["exceedance"] <= 0.05 + 2 * math.sqrt(0.05 * 0.95 / 200)
 
 
+def test_level_oracle_on_toy_exits_2_naming_its_dimension():
+    # oracle_t needs the score law of a one-dimensional model; the toy is
+    # 12-dimensional, which used to end in an internal error (exit 3)
+    proc = run("level", "--example", "toy", "--n", "200", "--method", "oracle_t",
+               "--reps", "100")
+    assert proc.returncode == 2, proc.stderr
+    assert "'toy' is 12-dimensional" in proc.stderr
+
+
 def test_scan_skips_one_sided_split(tmp_path):
     path = tmp_path / "o.csv"
     path.write_text("t,score\n0.05,0.1\n0.3,0.2\n0.6,0.3\n0.9,0.4\n", encoding="utf-8")

@@ -1,6 +1,10 @@
 """Counting process construction and the two simultaneous null bands."""
 
+import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +212,127 @@ class TestSimulatedBand:
         const = simulate_null_sup_quantile(0.01, 10, 10, sims=100, rng=RngStream(0, 0))
         assert const.c > 0.0
 
+    def test_constant_is_the_rank_rule_order_statistic(self):
+        # k = ceil((1 - a)(sims + 1)) = 985 of 1000 at a = 0.05/3, where
+        # ceil((1 - a) sims) would take the 984th; the sup statistics are
+        # recomputed from the same seeded draw of 0/1 rows
+        alpha, m, n, sims = 0.05 / 3, 60, 40, 1000
+        const = simulate_null_sup_quantile(alpha, m, n, sims, RngStream(4, 0, ("rank",)))
+        rows = np.tile(np.repeat([1, 0], [m, n]), (sims, 1))
+        rows = RngStream(4, 0, ("rank",)).generator.permuted(rows, axis=1)
+        z = np.arange(1, m + n)
+        V = np.cumsum(rows, axis=1)[:, :-1]
+        T = np.sort(((V - z * (m / (m + n))) / w_scale(z, m, n)).max(axis=1))
+        assert T[983] < T[984]
+        assert const.c == T[984]
+
+
+class TestCoupledDraw:
+    @pytest.mark.parametrize("removed", [(2, 1), (0, 0), (3, 2)])
+    def test_cut_rows_are_uniform_arrangements(self, removed):
+        # deleting the ids 0..q_m-1 (ones) and m..m+q_n-1 (zeros) from a
+        # uniform permutation of m = 4 ones and n = 3 zeros leaves every
+        # arrangement of the remaining ones and zeros equally likely
+        m, n, sims = 4, 3, 12000
+        q_m, q_n = removed
+        ids = np.concatenate(list(counting._draw_rows(RngStream(21, 0), m + n, sims)))
+        kept = counting._cut(ids, m, q_m, q_n)
+        m_eff, N_eff = m - q_m, m + n - q_m - q_n
+        assert kept.shape == (sims, N_eff) and (kept.sum(axis=1) == m_eff).all()
+        patterns = [
+            tuple(int(i in ones) for i in range(N_eff))
+            for ones in itertools.combinations(range(N_eff), m_eff)
+        ]
+        index = {p: k for k, p in enumerate(patterns)}
+        counts = np.bincount([index[tuple(row)] for row in kept.astype(int).tolist()],
+                             minlength=len(patterns))
+        assert (counts > 0).all()
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_constant_independent_of_memo_state_order_and_storage(self, monkeypatch):
+        # two candidates of one (m, n) = (50, 35) sample cut the same draw,
+        # which small chunks split into five
+        monkeypatch.setattr(counting, "_CHUNK_IDS", 85 * 70)
+        keys = [(40, 30, (10, 5)), (45, 33, (5, 2))]
+
+        def constants(order):
+            return {key: band_constant(0.05 / 3, key[0], key[1], "simulated", sims=300,
+                                       seed=9, removed=key[2]).c for key in order}
+
+        counting.clear_band_cache()
+        cold = constants(keys)
+        assert counting._stored_draw.cache_info().misses == 1
+        warm = constants(keys)
+        counting.clear_band_cache()
+        assert counting._stored_draw.cache_info().currsize == 0
+        reverse = constants(keys[::-1])
+        stored = counting._null_draw(RngStream(5, 0, ("direct",)), 85, 300)
+        monkeypatch.setattr(counting, "_DRAW_BUDGET", 85 * 300 * 2 - 1)
+        counting.clear_band_cache()
+        redrawn = constants(keys)
+        assert counting._stored_draw.cache_info().currsize == 0
+        assert cold == warm == reverse == redrawn
+        # the draw restarts a stream from its identity, on either path
+        used = RngStream(5, 0, ("direct",))
+        used.random(3)
+        redraw = list(counting._null_draw(used, 85, 300))
+        assert len(redraw) == len(stored) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(redraw, stored))
+        counting.clear_band_cache()
+
+    def test_concurrent_misses_compute_once(self, monkeypatch):
+        # eight threads on two cores miss two keys of one sample at once:
+        # each key is simulated once and the shared draw is made once
+        calls, draws = [], []
+        simulate, draw_rows = counting.simulate_null_sup_quantile, counting._draw_rows
+
+        def counted_simulate(*args, **kwargs):
+            calls.append(args[1:3])
+            time.sleep(0.05)
+            return simulate(*args, **kwargs)
+
+        def counted_draw_rows(*args):
+            draws.append(args[1:])
+            time.sleep(0.05)
+            return draw_rows(*args)
+
+        monkeypatch.setattr(counting, "simulate_null_sup_quantile", counted_simulate)
+        monkeypatch.setattr(counting, "_draw_rows", counted_draw_rows)
+        counting.clear_band_cache()
+        keys = [(40, 30, (3, 1)), (41, 30, (2, 1))]
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(i):
+            barrier.wait(timeout=10)
+            m_eff, n_eff, removed = keys[i % 2]
+            results[i] = band_constant(0.05 / 3, m_eff, n_eff, "simulated", sims=200,
+                                       seed=2, removed=removed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == [(40, 30), (41, 30)]
+        assert draws == [(43 + 31, 200)]
+        assert all(results[i] is results[i % 2] for i in range(8))
+        counting.clear_band_cache()
+
+    def test_failed_miss_leaves_no_entry(self):
+        counting.clear_band_cache()
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                band_constant(0.001 / 3, 10, 10, "simulated", sims=1000)
+        info = counting._band_constant.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
 
 class TestBandValue:
     def test_mean_line_plus_scaled_width(self):
@@ -244,6 +369,9 @@ class TestBandCache:
         # a budget too small for alpha is raised to ceil(1/alpha)
         const = band_constant(0.001 / 3, 5, 50, "analytic", sims=1000, seed=0)
         assert const.kind == "simulated" and const.sims == 3000
+        # the fallback draws at its own sizes, whatever was removed
+        moved = band_constant(0.001 / 3, 5, 50, "analytic", sims=1000, seed=0, removed=(9, 4))
+        assert moved is const
 
     def test_clear_empties_both_memos_and_warm_rerun_hits(self):
         # clear_band_cache() empties the band and quantile memos, so every CLI
