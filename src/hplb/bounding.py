@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import CountingPath, band_constant, band_value
+from .counting import CountingPath, _normalized_paths, band_constant, band_value
 from .distributions import BinomialParams, binom_quantile
 from .errors import ParameterError
 
@@ -45,8 +45,8 @@ class BoundSpec:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.band_kind not in ("analytic", "simulated"):
             raise ParameterError(f"unknown band kind {self.band_kind!r}")
-        if self.band_kind == "simulated" and self.sims < 100:
-            raise ParameterError("simulated band needs sims >= 100")
+        if self.sims < 100:  # the analytic band simulates below m_eff = 8
+            raise ParameterError(f"need sims >= 100 for either band kind, got sims={self.sims}")
         if self.band_kind == "simulated" and self.alpha / 3.0 * (self.sims + 1) < 1.0:
             raise ParameterError(
                 f"simulated band at alpha={self.alpha} needs (alpha/3) * (sims + 1) >= 1, "
@@ -83,18 +83,11 @@ def effective_sizes(lambda_tilde: float, m: int, n: int, spec: BoundSpec) -> Eff
     return EffectiveSizes(q_m=q_m, q_n=q_n, m=m, n=n)
 
 
-def _middle_branch(z, sizes: EffectiveSizes, spec: BoundSpec):
-    """q_m + band(z - q_m; m_eff, n_eff) at middle-branch points q_m < z < m + n_eff."""
-    const = band_constant(
-        spec.alpha / 3.0,
-        sizes.m_eff,
-        sizes.n_eff,
-        spec.band_kind,
-        sims=spec.sims,
-        seed=spec.seed,
-        removed=(sizes.q_m, sizes.q_n),
-    )
-    return sizes.q_m + band_value(const, z - sizes.q_m)
+def _constant(sizes: EffectiveSizes, spec: BoundSpec):
+    """The alpha/3 band constant of the middle branch at `sizes`."""
+    removed = (sizes.q_m, sizes.q_n)
+    return band_constant(spec.alpha / 3.0, sizes.m_eff, sizes.n_eff, spec.band_kind,
+                         sims=spec.sims, seed=spec.seed, removed=removed)
 
 
 def q_bound(z, lambda_tilde: float, m: int, n: int, spec: BoundSpec):
@@ -114,24 +107,27 @@ def q_bound(z, lambda_tilde: float, m: int, n: int, spec: BoundSpec):
     if sizes.m_eff > 0 and sizes.n_eff > 0:
         mid = (z_arr > sizes.q_m) & (z_arr < m + sizes.n_eff)
         if mid.any():
-            q[mid] = _middle_branch(z_arr[mid], sizes, spec)
+            q[mid] = sizes.q_m + band_value(_constant(sizes, spec), z_arr[mid] - sizes.q_m)
     return float(q) if z_arr.ndim == 0 else q
 
 
 def is_violated(path: CountingPath, lambda_tilde: float, spec: BoundSpec):
-    """Whether sup_z (V[z] - Q(z, lambda_tilde)) > 0, plus the argmax z.
+    """Whether the path leaves the envelope Q(z, lambda_tilde), plus the argmax z.
 
-    Only the middle branch can be exceeded (V[z] <= min(z, m) always), so
-    the scan is restricted there.  With both effective sizes positive that
-    branch is the nonempty run z = q_m + 1, ..., m + n_eff - 1.
+    Only the middle branch z = q_m + 1, ..., m + n_eff - 1 can be exceeded
+    (V[z] <= min(z, m) always).  The candidate is violated exactly when the
+    reduced path V[q_m + z] - q_m has a normalized sup statistic T_obs, by
+    the formula that simulates null paths of m_eff ones among n_eff zeros,
+    above the band constant c.  A tie is not a violation: the rank rule
+    bounds P(T > c).  The z returned is T_obs's argmax on the full path.
     """
     m, n = path.m, path.n
     sizes = effective_sizes(lambda_tilde, m, n, spec)
     if sizes.m_eff == 0 or sizes.n_eff == 0:
         return False, None
-    z = np.arange(sizes.q_m + 1, m + sizes.n_eff)
-    gap = path.v[sizes.q_m:m + sizes.n_eff - 1] - _middle_branch(z, sizes, spec)
-    k = int(np.argmax(gap))
-    if gap[k] > 0.0:
-        return True, int(z[k])
+    reduced = path.v[sizes.q_m:m + sizes.n_eff - 1] - sizes.q_m
+    (stat,) = _normalized_paths([reduced], sizes.m_eff, sizes.n_eff)
+    k = int(np.argmax(stat))
+    if stat[k] > _constant(sizes, spec).c:
+        return True, sizes.q_m + 1 + k
     return False, None

@@ -18,19 +18,21 @@ in z:
 Both share the hypergeometric standard deviation scale
 
     w(z, m, n) = sqrt((m/N) (n/N) ((N-z)/(N-1)) z).
+
+A path leaves the band of constant c exactly when its normalized sup
+statistic T = max_z (V[z] - z m/N) / w(z, m, n) exceeds c; a tie T = c is
+not a violation.  The simulation and `bounding.is_violated` compute T with
+one routine, `_normalized_paths`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import namedtuple
-from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import MEMO_SIZE, _binom_quantile
+from .distributions import MEMO_SIZE, _binom_quantile, _SingleFlight
 from .errors import BandDomainError, ParameterError
 from .streams import RngStream
 
@@ -188,6 +190,21 @@ class BandConstant:
             raise ParameterError("effective sizes must be at least 1")
 
 
+def _normalized_paths(chunks, m_eff: int, n_eff: int):
+    """Yield (V[z] - z m_eff/N_eff) / w(z, m_eff, n_eff), z = 1..N_eff-1, per chunk.
+
+    Each chunk holds counting paths V at sizes (m_eff, n_eff), one per row
+    (or a single 1-D path); the mean line and the scale are computed once.
+    """
+    N_eff = m_eff + n_eff
+    z = np.arange(1, N_eff)
+    mean, wv = z * (m_eff / N_eff), w_scale(z, m_eff, n_eff)
+    for V in chunks:
+        X = V - mean
+        X /= wv
+        yield X
+
+
 def simulate_null_sup_quantile(
     alpha: float,
     m_eff: int,
@@ -229,16 +246,10 @@ def simulate_null_sup_quantile(
     q_m, q_n = removed
     if q_m < 0 or q_n < 0:
         raise ParameterError("removed counts must be nonnegative")
-    m, n, N_eff = m_eff + q_m, n_eff + q_n, m_eff + n_eff
-    z = np.arange(1, N_eff)
-    mean = z * (m_eff / N_eff)
-    wv = w_scale(z, m_eff, n_eff)
-    T = []
-    for ids in _null_draw(rng, m + n, sims):
-        X = np.cumsum(_cut(ids, m, q_m, q_n), axis=1, dtype=np.int32)[:, :-1] - mean
-        X /= wv
-        T.append(X.max(axis=1))
-    T = np.sort(np.concatenate(T))
+    m, n = m_eff + q_m, n_eff + q_n
+    paths = (np.cumsum(_cut(ids, m, q_m, q_n), axis=1, dtype=np.int32)[:, :-1]
+             for ids in _null_draw(rng, m + n, sims))
+    T = np.sort(np.concatenate([X.max(axis=1) for X in _normalized_paths(paths, m_eff, n_eff)]))
     return BandConstant(
         kind="simulated", c=float(T[k - 1]), m_eff=m_eff, n_eff=n_eff, alpha=alpha, sims=sims
     )
@@ -335,105 +346,25 @@ def band_constant(
     widens the band, so validity is untouched.  The fallback raises its
     budget to ceil(1/alpha) simulations where sims could not resolve alpha.
     """
-    fallback = kind == "analytic" and m_eff < 8
-    simulated = kind == "simulated" or fallback
-    if fallback and alpha * (sims + 1) < 1.0:
-        sims = math.ceil(1.0 / alpha)
-    removed = tuple(removed) if kind == "simulated" else (0, 0)
-    return _band_constant(
-        alpha, m_eff, n_eff, simulated, sims if simulated else 0, seed, fallback, removed
-    )
+    if kind not in ("analytic", "simulated"):
+        raise ParameterError(f"unknown band kind {kind!r}")
+    if kind == "analytic":
+        removed = (0, 0)
+        if m_eff >= 8:
+            sims = 0
+        elif alpha * (sims + 1) < 1.0:
+            sims = math.ceil(1.0 / alpha)
+    return _band_constant(alpha, m_eff, n_eff, kind, sims, seed, tuple(removed))
 
 
-_CacheInfo = namedtuple("CacheInfo", "misses maxsize currsize")
-_MISSING = object()
-
-
-class _SingleFlight:
-    """Bounded memo of `fn` whose concurrent misses on one key compute once.
-
-    A hit reads the entries without the lock (a dict read is atomic).  The
-    first caller to miss a key computes it, and callers arriving meanwhile
-    wait on its future instead of computing again.  A failed computation
-    stores nothing.  The oldest entry makes room for a new one, evicted
-    when the miss starts so that a large entry is freed before its
-    successor is built.
-    """
-
-    def __init__(self, fn, maxsize: int):
-        self._fn = fn
-        self._maxsize = maxsize
-        self._entries = {}
-        self._pending = {}
-        self._lock = threading.Lock()
-        self._misses = 0
-
-    def _make_room(self) -> None:
-        while len(self._entries) >= self._maxsize:
-            del self._entries[next(iter(self._entries))]
-
-    def __call__(self, *key):
-        value = self._entries.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
-            future = self._pending.get(key)
-            owner = future is None
-            if owner:
-                self._misses += 1
-                future = self._pending[key] = Future()
-                self._make_room()
-        if not owner:
-            return future.result()
-        try:
-            value = self._fn(*key)
-        except BaseException as exc:
-            with self._lock:
-                del self._pending[key]
-            future.set_exception(exc)
-            raise
-        with self._lock:
-            del self._pending[key]
-            self._make_room()
-            self._entries[key] = value
-        future.set_result(value)
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._misses, self._maxsize, len(self._entries))
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._misses = 0
-
-
-def _compute_band_constant(alpha, m_eff, n_eff, simulated, sims, seed, fallback, removed):
-    if not simulated:
-        return BandConstant(
-            kind="analytic",
-            c=beta_threshold(alpha, m_eff),
-            m_eff=m_eff,
-            n_eff=n_eff,
-            alpha=alpha,
-            sims=0,
-        )
+def _compute_band_constant(alpha, m_eff, n_eff, kind, sims, seed, removed):
+    if kind == "analytic" and m_eff >= 8:
+        return BandConstant("analytic", beta_threshold(alpha, m_eff), m_eff, n_eff, alpha)
     q_m, q_n = removed
     rng = RngStream(seed, 0, ("null-band", m_eff + q_m, n_eff + q_n, sims, round(alpha, 12)))
     const = simulate_null_sup_quantile(alpha, m_eff, n_eff, sims, rng, removed=removed)
-    if fallback and const.c < (floor_c := beta_threshold(alpha, 8)):
-        const = BandConstant(
-            kind="simulated",
-            c=floor_c,
-            m_eff=m_eff,
-            n_eff=n_eff,
-            alpha=alpha,
-            sims=sims,
-        )
+    if kind == "analytic" and const.c < (floor_c := beta_threshold(alpha, 8)):
+        const = replace(const, c=floor_c)
     return const
 
 

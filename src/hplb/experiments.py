@@ -302,6 +302,8 @@ def run_power_grid(
         raise ParameterError("epsilon must lie in (0, 1]")
     if example not in (1, 2):
         raise ParameterError("power grids are defined for examples 1 and 2")
+    if method not in ("c", "bayes", "adapt"):
+        raise ParameterError(f"power grids support methods c, bayes and adapt, got {method!r}")
     if c is None:
         c = default_scale(example)
     bound = bound or BoundSpec(alpha=alpha)

@@ -9,6 +9,7 @@ from hplb import (
     LabeledScores,
     ParameterError,
     RngStream,
+    band_constant,
     beta_threshold,
     binom_quantile,
     BinomialParams,
@@ -125,6 +126,46 @@ class TestIsViolated:
             hit, _ = is_violated(path, 1.0, ANALYTIC)
             assert not hit
 
+    def test_tie_with_the_band_constant_is_not_a_violation(self):
+        # The simulated constant c is one of its null rows' sup statistics,
+        # and the rank rule bounds P(T > c): a data path whose statistic
+        # equals c exactly is not violated, and one step above it is.  The
+        # rows are rebuilt from each constant's seeded draw as 0/1 rows.
+        spec = BoundSpec(alpha=0.05, band_kind="simulated", sims=1000, seed=2)
+        a = spec.alpha / 3.0
+        ties = raised = 0
+        for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100)]:
+            c = band_constant(a, m, n, "simulated", sims=spec.sims, seed=spec.seed).c
+            rows = np.tile(np.repeat([1, 0], [m, n]), (spec.sims, 1))
+            stream = RngStream(spec.seed, 0, ("null-band", m, n, spec.sims, round(a, 12)))
+            rows = stream.generator.permuted(rows, axis=1)
+            z = np.arange(1, m + n)
+
+            def statistic(row):
+                return (np.cumsum(row)[:-1] - z * (m / (m + n))) / w_scale(z, m, n)
+
+            tied = [row for row in rows if statistic(row).max() == c]
+            assert tied, (m, n)
+            ties += len(tied)
+            for row in tied:
+                path = _path_from(np.cumsum(row)[:-1], m, n)
+                assert is_violated(path, 0.0, spec) == (False, None)
+                # move the first one after the argmax z* ahead of the last
+                # zero at or before it: V rises by one on a run of z through z*
+                top = int(np.argmax(statistic(row)))
+                zeros = np.flatnonzero(row[:top + 1] == 0)
+                ones = top + 1 + np.flatnonzero(row[top + 1:] == 1)
+                if not (zeros.size and ones.size):
+                    continue
+                up = row.copy()
+                up[zeros[-1]], up[ones[0]] = 1, 0
+                stat = statistic(up)
+                assert stat.max() > c
+                path = _path_from(np.cumsum(up)[:-1], m, n)
+                assert is_violated(path, 0.0, spec) == (True, int(np.argmax(stat)) + 1)
+                raised += 1
+        assert ties >= 30 and raised >= 10, (ties, raised)
+
     @pytest.mark.parametrize("spec", [ANALYTIC, SIMULATED], ids=["analytic", "simulated"])
     @pytest.mark.parametrize("mn", [(50, 50), (100, 300)])
     def test_violation_indicator_monotone_on_grid(self, spec, mn):
@@ -183,6 +224,13 @@ def test_boundspec_validation():
     with pytest.raises(ParameterError):
         BoundSpec(alpha=0.001, band_kind="simulated", sims=1000)
     BoundSpec(alpha=0.01, band_kind="simulated", sims=300)
+    # the analytic band simulates its constant below m_eff = 8, so it needs
+    # the same budget up front rather than failing partway through a search
+    with pytest.raises(ParameterError):
+        BoundSpec(band_kind="analytic", sims=10)
+    with pytest.raises(ParameterError):
+        BoundSpec(band_kind="analytic", sims=99)
+    BoundSpec(band_kind="analytic", sims=100)
 
 
 def test_quantile_convention_shared_with_envelope():

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +162,17 @@ def test_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_analytic_band_rejects_small_sims_up_front():
+    # the analytic band simulates only for candidates with m_eff < 8, which
+    # this search never reaches; sims < 100 is still rejected before it runs
+    data = Path(__file__).resolve().parent.parent / "data" / "two_sample_mirrored.csv"
+    args = ["--input", str(data), "--method", "adapt", "--band", "analytic"]
+    assert run("estimate", *args).returncode == 0
+    proc = run("estimate", *args, "--sims", "10")
+    assert proc.returncode == 2
+    assert "sims >= 100" in proc.stderr
+
+
 def test_thread_cap_does_not_change_results(tmp_path):
     import os
     import subprocess as sp
@@ -173,6 +185,17 @@ def test_thread_cap_does_not_change_results(tmp_path):
     ]
     r1 = sp.run(args, capture_output=True, text=True, env=env1, timeout=600)
     r4 = sp.run(args, capture_output=True, text=True, env=env4, timeout=600)
+    assert r1.stdout == r4.stdout
+    # a simulated-band adapt cell: its workers share the band-constant,
+    # null-draw and binomial-quantile memos
+    args = CLI + [
+        "powergrid", "--example", "2", "--method", "adapt", "--band", "simulated",
+        "--gammas=-0.5", "--ns", "1000", "--reps", "100", "--sims", "200",
+        "--format", "json",
+    ]
+    r1 = sp.run(args, capture_output=True, text=True, env=env1, timeout=600)
+    r4 = sp.run(args, capture_output=True, text=True, env=env4, timeout=600)
+    assert r1.returncode == 0, r1.stderr
     assert r1.stdout == r4.stdout
 
 

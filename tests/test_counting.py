@@ -282,7 +282,8 @@ class TestCoupledDraw:
 
     def test_concurrent_misses_compute_once(self, monkeypatch):
         # eight threads on two cores miss two keys of one sample at once:
-        # each key is simulated once and the shared draw is made once
+        # each key is simulated once and the shared draw is made once; the
+        # binomial-quantile memo is the same single-flight memo
         calls, draws = [], []
         simulate, draw_rows = counting.simulate_null_sup_quantile, counting._draw_rows
 
@@ -306,6 +307,7 @@ class TestCoupledDraw:
         def worker(i):
             barrier.wait(timeout=10)
             m_eff, n_eff, removed = keys[i % 2]
+            distributions._binom_quantile(1 - 0.05 / 3, 0.1 * (1 + i % 2), 500)
             results[i] = band_constant(0.05 / 3, m_eff, n_eff, "simulated", sims=200,
                                        seed=2, removed=removed)
 
@@ -323,6 +325,7 @@ class TestCoupledDraw:
         assert sorted(calls) == [(40, 30), (41, 30)]
         assert draws == [(43 + 31, 200)]
         assert all(results[i] is results[i % 2] for i in range(8))
+        assert distributions._binom_quantile.cache_info().misses == 2
         counting.clear_band_cache()
 
     def test_failed_miss_leaves_no_entry(self):
@@ -362,6 +365,10 @@ class TestBandCache:
         assert a.c == b.c
         c = band_constant(0.05, 40, 60, "simulated", sims=300, seed=12)
         assert c.c != a.c
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ParameterError):
+            band_constant(0.05, 50, 50, "magic", sims=200)
 
     def test_analytic_fallback_below_guard(self):
         const = band_constant(0.05, 5, 50, "analytic", sims=200, seed=0)

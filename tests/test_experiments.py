@@ -136,6 +136,27 @@ class TestPowerGrid:
         assert len(grid.mean_lambda) == 4
         assert all(0.0 <= v <= 1.0 for v in grid.freq.values())
 
+    @pytest.mark.parametrize("method", ["oracle_t", "fancy"])
+    def test_unsupported_method_rejected_before_any_cell(self, method, monkeypatch):
+        # oracle_t needs the true score standard deviation, which a power
+        # grid does not compute; no replication may be drawn before the error
+        import hplb.experiments as experiments
+
+        drawn = []
+        monkeypatch.setattr(experiments, "gen_example", lambda *a: drawn.append(a))
+        with pytest.raises(ParameterError, match="c, bayes and adapt"):
+            run_power_grid(
+                example=1,
+                method=method,
+                gammas=[-0.3],
+                ns=[200],
+                reps=5,
+                epsilon=1.0,
+                alpha=0.05,
+                rng=RngStream(7, 0),
+            )
+        assert drawn == []
+
     def test_bit_exact_determinism(self):
         kwargs = dict(
             example=2,
