@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounding import BoundSpec, is_violated
+from .bounding import BoundSpec, effective_sizes, is_violated
 from .counting import CountingPath, LabeledScores, build_counting_path
 from .distributions import normal_quantile
-from .errors import InternalError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "AccuracyPair",
@@ -47,6 +47,12 @@ class AccuracyPair:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """How lambda_adapt got its value.
+
+    argmax_z refutes the (q_m, q_n) pair of the double just below the value
+    (None when it is 0); evaluations counts the distinct pairs checked.
+    """
+
     argmax_z: int | None = None
     evaluations: int = 0
     band_kind: str | None = None
@@ -145,14 +151,14 @@ def lambda_oracle_t(
 def lambda_adapt(data: LabeledScores, spec: BoundSpec | None = None) -> HPLBResult:
     """Adaptive bound: the smallest TV candidate the data cannot refute.
 
-    Searches the grid {k / (2N)} for the smallest candidate whose bounding
-    envelope is never exceeded by the counting path.  The result is the
-    bisection answer on that grid, checked by an exhaustive scan of the 8
-    grid points below it.  Bisection assumes that violations vanish as the
-    candidate grows; that monotonicity is tested empirically, not proven.
-    The infimum of the unrefuted candidates need not lie on the grid, so
-    the result can exceed it by up to 1/(2N), the slack that acceptance
-    criterion 4c allows.
+    Refutation depends on lam only through the witness quantiles
+    (q_m, q_n), which step at the one-sided Clopper-Pearson lower limits.
+    Bisecting the double lam, one is_violated call per distinct pair, ends
+    at an unrefuted double whose next double below is refuted: a lattice
+    point, attained.  It is the infimum of the unrefuted candidates when
+    refutation is monotone in lam; that is assumed, not proven, and fails
+    on rare samples (README.md, Notes).  Tests compare it with a scan of
+    the whole lattice.
     """
     spec = spec or BoundSpec()
     path = build_counting_path(data)
@@ -161,41 +167,28 @@ def lambda_adapt(data: LabeledScores, spec: BoundSpec | None = None) -> HPLBResu
 
 def adapt_from_path(path: CountingPath, spec: BoundSpec) -> HPLBResult:
     """lambda_adapt on a prebuilt counting path."""
-    K = 2 * (path.m + path.n)
-    evaluations = 0
-    last_witness = None
+    verdicts = {}  # (q_m, q_n) -> is_violated at a candidate with those quantiles
 
-    def violated(k: int):
-        nonlocal evaluations, last_witness
-        evaluations += 1
-        hit, argz = is_violated(path, k / K, spec)
-        if hit:
-            last_witness = argz
-        return hit
+    def verdict(lam: float):
+        sizes = effective_sizes(lam, path.m, path.n, spec)
+        key = (sizes.q_m, sizes.q_n)
+        if key not in verdicts:
+            verdicts[key] = is_violated(path, lam, spec)
+        return verdicts[key]
 
-    if not violated(0):
-        return HPLBResult(
-            value=0.0,
-            method="adapt",
-            alpha=spec.alpha,
-            diagnostics=Diagnostics(None, evaluations, spec.band_kind),
-        )
-    lo, hi = 0, K  # lo violated; the candidate 1 is never violated
-    if violated(K):  # cannot happen: envelope at 1 equals the pathwise maximum
-        raise InternalError("no admissible TV candidate found")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if violated(mid):
-            lo = mid
+    # `below` is the verdict at lo.  At 1 the middle branch is empty, so 1
+    # is never refuted.
+    below = verdict(0.0)
+    lo, value = 0.0, (1.0 if below[0] else 0.0)
+    while lo < (mid := (lo + value) / 2.0) < value:
+        hit = verdict(mid)
+        if hit[0]:
+            lo, below = mid, hit
         else:
-            hi = mid
-    for k in range(max(0, hi - 8), hi):
-        if not violated(k):
-            hi = k
-            break
+            value = mid
     return HPLBResult(
-        value=_clamp01(hi / K),
+        value=value,
         method="adapt",
         alpha=spec.alpha,
-        diagnostics=Diagnostics(last_witness, evaluations, spec.band_kind),
+        diagnostics=Diagnostics(below[1], len(verdicts), spec.band_kind),
     )

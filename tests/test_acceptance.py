@@ -162,8 +162,8 @@ def test_criterion_4b_toy_adaptive_detects(toy_runs):
 
 def test_criterion_4c_toy_adaptive_stays_below_truth(toy_runs):
     _, adapt_vals, lam = toy_runs
-    # true TV ~ 0.00966; allow the candidate-grid step as slack
-    frac_ok = float(np.mean(adapt_vals <= lam + 1.0 / 40_000))
+    # true TV ~ 0.00966
+    frac_ok = float(np.mean(adapt_vals <= lam))
     ok = report("4c toy adapt below truth", frac_ok >= 0.95, f"{frac_ok:.2f} >= 0.95")
     assert ok
 

@@ -2,9 +2,10 @@
 
 `bench/tracer.py` wraps functions where their callers look them up, and
 `bench/run.py` probes the estimator and clears the memos between commands.
-A refactor that moves one of these names would break `--trace 1` or the
-estimate probe only when the benchmark runs; these checks catch it in the
-test suite.  They read bench/ and change nothing there.
+A refactor that moves one of these names, or an estimator whose value
+fails the probe's check, would break `--trace 1` or the estimate probe only
+when the benchmark runs; these checks catch it in the test suite.  They
+read bench/ and change nothing there.
 """
 
 import importlib
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +85,28 @@ def test_is_violated_returns_a_pair():
     violated, witness = bounding.is_violated(path, 0.5, spec)
     assert isinstance(violated, bool)
     assert witness is None or isinstance(witness, int)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "simulated"])
+def test_adaptive_value_passes_the_estimate_probe_check(kind):
+    # bench/run.py's estimate probe fails an operation whenever
+    # is_violated(path, value) holds for a lambda_adapt result.  The value
+    # must be attained, and be the smallest double that is.
+    from hplb import bounding, counting, estimators, io
+
+    spec = bounding.BoundSpec(alpha=0.05, band_kind=kind, sims=1000, seed=0)
+    samples = [io.parse_two_sample(ROOT / "data" / name)
+               for name in ("two_sample_contamination.csv", "two_sample_mirrored.csv")]
+    rng = np.random.default_rng(11)
+    for m, n, shift in ((60, 60, 0.8), (20, 200, 1.5), (250, 25, 0.5), (100, 100, 0.0)):
+        scores = np.concatenate([rng.normal(-shift, 1.0, m), rng.normal(0.0, 1.0, n)])
+        samples.append(counting.LabeledScores(scores, np.repeat([0, 1], [m, n])))
+    positive = 0
+    for data in samples:
+        value = estimators.lambda_adapt(data, spec).value
+        path = counting.build_counting_path(data)
+        assert not bounding.is_violated(path, value, spec)[0]
+        if value > 0.0:
+            positive += 1
+            assert bounding.is_violated(path, np.nextafter(value, 0.0), spec)[0]
+    assert positive >= 4
