@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import CountingPath, _normalized_paths, band_constant, band_value
+from .counting import CountingPath, _normalized_paths, band_constant, band_value, exceeds_band
 from .distributions import BinomialParams, binom_quantile
 from .errors import ParameterError
 
@@ -83,11 +83,11 @@ def effective_sizes(lambda_tilde: float, m: int, n: int, spec: BoundSpec) -> Eff
     return EffectiveSizes(q_m=q_m, q_n=q_n, m=m, n=n)
 
 
-def _constant(sizes: EffectiveSizes, spec: BoundSpec):
-    """The alpha/3 band constant of the middle branch at `sizes`."""
-    removed = (sizes.q_m, sizes.q_n)
-    return band_constant(spec.alpha / 3.0, sizes.m_eff, sizes.n_eff, spec.band_kind,
-                         sims=spec.sims, seed=spec.seed, removed=removed)
+def _band_key(sizes: EffectiveSizes, spec: BoundSpec):
+    """The band arguments of the alpha/3 middle branch at `sizes`."""
+    return dict(alpha=spec.alpha / 3.0, m_eff=sizes.m_eff, n_eff=sizes.n_eff,
+                kind=spec.band_kind, sims=spec.sims, seed=spec.seed,
+                removed=(sizes.q_m, sizes.q_n))
 
 
 def q_bound(z, lambda_tilde: float, m: int, n: int, spec: BoundSpec):
@@ -107,7 +107,8 @@ def q_bound(z, lambda_tilde: float, m: int, n: int, spec: BoundSpec):
     if sizes.m_eff > 0 and sizes.n_eff > 0:
         mid = (z_arr > sizes.q_m) & (z_arr < m + sizes.n_eff)
         if mid.any():
-            q[mid] = sizes.q_m + band_value(_constant(sizes, spec), z_arr[mid] - sizes.q_m)
+            q[mid] = sizes.q_m + band_value(band_constant(**_band_key(sizes, spec)),
+                                             z_arr[mid] - sizes.q_m)
     return float(q) if z_arr.ndim == 0 else q
 
 
@@ -120,6 +121,9 @@ def is_violated(path: CountingPath, lambda_tilde: float, spec: BoundSpec):
     the formula that simulates null paths of m_eff ones among n_eff zeros,
     above the band constant c.  A tie is not a violation: the rank rule
     bounds P(T > c).  The z returned is T_obs's argmax on the full path.
+    A simulated c is not computed for the verdict: `exceeds_band` decides
+    T_obs > c from as few null rows as the rank rule needs, with the
+    verdict that c itself would give.
     """
     m, n = path.m, path.n
     sizes = effective_sizes(lambda_tilde, m, n, spec)
@@ -128,6 +132,6 @@ def is_violated(path: CountingPath, lambda_tilde: float, spec: BoundSpec):
     reduced = path.v[sizes.q_m:m + sizes.n_eff - 1] - sizes.q_m
     (stat,) = _normalized_paths([reduced], sizes.m_eff, sizes.n_eff)
     k = int(np.argmax(stat))
-    if stat[k] > _constant(sizes, spec).c:
+    if exceeds_band(float(stat[k]), **_band_key(sizes, spec)):
         return True, sizes.q_m + 1 + k
     return False, None

@@ -23,12 +23,20 @@ A path leaves the band of constant c exactly when its normalized sup
 statistic T = max_z (V[z] - z m/N) / w(z, m, n) exceeds c; a tie T = c is
 not a violation.  The simulation and `bounding.is_violated` compute T with
 one routine, `_normalized_paths`.
+
+`is_violated` needs only the verdict T_obs > c, and `exceeds_band` gives
+it from the fewest null rows the Monte Carlo rank rule needs (sequential
+Monte Carlo tests, Besag & Clifford 1991): each band key has one memoized
+record of null sup statistics, cut in draw order as verdicts need them
+and completed by `band_constant` or a later verdict (see `_BandRecord`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +54,7 @@ __all__ = [
     "simulate_null_sup_quantile",
     "band_value",
     "band_constant",
+    "exceeds_band",
     "clear_band_cache",
 ]
 
@@ -205,6 +214,25 @@ def _normalized_paths(chunks, m_eff: int, n_eff: int):
         yield X
 
 
+def _rank(alpha: float, m_eff: int, n_eff: int, sims: int, removed: tuple) -> int:
+    """The rank k = ceil((1-alpha)(sims+1)) of the band constant, after checking the budget."""
+    if m_eff < 1 or n_eff < 1:
+        raise ParameterError("effective sizes must be at least 1")
+    if sims < 100:
+        raise ParameterError("need at least 100 simulations")
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    # ceil((1-alpha)(sims+1)) written so that alpha (sims + 1) = 1 gives sims
+    k = sims + 1 - math.floor(alpha * (sims + 1))
+    if k > sims:
+        raise ParameterError(
+            f"{sims} simulations cannot resolve level {alpha}: need alpha * (sims + 1) >= 1"
+        )
+    if removed[0] < 0 or removed[1] < 0:
+        raise ParameterError("removed counts must be nonnegative")
+    return k
+
+
 def simulate_null_sup_quantile(
     alpha: float,
     m_eff: int,
@@ -231,28 +259,11 @@ def simulate_null_sup_quantile(
     exceeds it with probability (sims + 1 - k) / (sims + 1) <= alpha.
     Budgets with k > sims, that is alpha (sims + 1) < 1, are rejected.
     """
-    if m_eff < 1 or n_eff < 1:
-        raise ParameterError("effective sizes must be at least 1")
-    if sims < 100:
-        raise ParameterError("need at least 100 simulations")
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    # ceil((1-alpha)(sims+1)) written so that alpha (sims + 1) = 1 gives sims
-    k = sims + 1 - math.floor(alpha * (sims + 1))
-    if k > sims:
-        raise ParameterError(
-            f"{sims} simulations cannot resolve level {alpha}: need alpha * (sims + 1) >= 1"
-        )
-    q_m, q_n = removed
-    if q_m < 0 or q_n < 0:
-        raise ParameterError("removed counts must be nonnegative")
-    m, n = m_eff + q_m, n_eff + q_n
-    paths = (np.cumsum(_cut(ids, m, q_m, q_n), axis=1, dtype=np.int32)[:, :-1]
-             for ids in _null_draw(rng, m + n, sims))
-    T = np.sort(np.concatenate([X.max(axis=1) for X in _normalized_paths(paths, m_eff, n_eff)]))
-    return BandConstant(
-        kind="simulated", c=float(T[k - 1]), m_eff=m_eff, n_eff=n_eff, alpha=alpha, sims=sims
-    )
+    k = _rank(alpha, m_eff, n_eff, sims, removed)
+    draw = _null_draw(rng, m_eff + n_eff + sum(removed), sims)
+    T = np.concatenate(list(_sup_statistics(draw, m_eff, n_eff, removed)))
+    return BandConstant(kind="simulated", c=float(np.partition(T, k - 1)[k - 1]),
+                        m_eff=m_eff, n_eff=n_eff, alpha=alpha, sims=sims)
 
 
 # The null draw comes in row chunks of at most _CHUNK_IDS ids, which also
@@ -266,6 +277,10 @@ _DRAW_BUDGET = 64 << 20
 
 def _id_dtype(N: int) -> np.dtype:
     return np.dtype(np.uint16 if N <= 1 << 16 else np.uint32)
+
+
+def _over_budget(N: int, sims: int) -> bool:
+    return sims * N * _id_dtype(N).itemsize > _DRAW_BUDGET
 
 
 def _draw_rows(rng: RngStream, N: int, sims: int):
@@ -285,7 +300,7 @@ def _draw_rows(rng: RngStream, N: int, sims: int):
 
 def _null_draw(rng: RngStream, N: int, sims: int):
     """The null draw of `rng`: the stored chunks if they fit the budget, else fresh ones."""
-    if sims * N * _id_dtype(N).itemsize > _DRAW_BUDGET:
+    if _over_budget(N, sims):
         return _draw_rows(RngStream(*rng.identity), N, sims)
     return _stored_draw(rng.identity, N, sims)
 
@@ -296,8 +311,19 @@ def _cut(ids: np.ndarray, m: int, q_m: int, q_n: int) -> np.ndarray:
     Every row of a permutation keeps the same number of ids, so the kept
     flags reshape to (rows, N - q_m - q_n).
     """
+    flags = ids < m
+    if not (q_m or q_n):
+        return flags
     keep = (ids >= q_m) & ((ids < m) | (ids >= m + q_n))
-    return (ids < m)[keep].reshape(len(ids), -1)
+    return flags[keep].reshape(len(ids), -1)
+
+
+def _sup_statistics(chunks, m_eff: int, n_eff: int, removed: tuple):
+    """Yield the sup statistic T of every row of each id chunk, cut at `removed`."""
+    q_m, q_n = removed
+    paths = (np.cumsum(_cut(ids, m_eff + q_m, q_m, q_n)[:, :-1], axis=1, dtype=np.int32)
+             for ids in chunks)
+    return (X.max(axis=1) for X in _normalized_paths(paths, m_eff, n_eff))
 
 
 def band_value(const: BandConstant, z):
@@ -314,8 +340,8 @@ def band_value(const: BandConstant, z):
 
 
 def clear_band_cache() -> None:
-    """Empty the band-constant, null-draw and binomial-quantile memos."""
-    _band_constant.cache_clear()
+    """Empty the band-record, null-draw and binomial-quantile memos."""
+    _band_records.cache_clear()
     _stored_draw.cache_clear()
     _binom_quantile.cache_clear()
 
@@ -335,7 +361,9 @@ def band_constant(
     (m_eff + q_m, n_eff + q_n), (q_m, q_n) = `removed`, so every TV
     candidate of one sample shares a single draw (see
     `simulate_null_sup_quantile`).  The analytic fallback draws at its own
-    sizes, so the analytic band never pays for a full-size draw.
+    sizes, so the analytic band never pays for a full-size draw.  The
+    constant completes the key's record of null sup statistics, which
+    `exceeds_band` may have begun, and is the same object on every call.
 
     The fallback constant is floored at the guard-boundary analytic
     threshold beta(alpha, 8).  Without the floor the envelope family would
@@ -346,6 +374,29 @@ def band_constant(
     widens the band, so validity is untouched.  The fallback raises its
     budget to ceil(1/alpha) simulations where sims could not resolve alpha.
     """
+    return _band_record(alpha, m_eff, n_eff, kind, sims, seed, removed).constant()
+
+
+def exceeds_band(
+    t: float,
+    alpha: float,
+    m_eff: int,
+    n_eff: int,
+    kind: str,
+    sims: int = 1000,
+    seed: int = 0,
+    removed: tuple = (0, 0),
+) -> bool:
+    """Whether t > band_constant(alpha, m_eff, n_eff, kind, sims, seed, removed).c.
+
+    The verdict is exact, but a simulated constant need not be computed
+    for it: the key's record cuts null rows in draw order until the rank
+    rule settles it (see `_BandRecord`).
+    """
+    return _band_record(alpha, m_eff, n_eff, kind, sims, seed, removed).exceeds(t)
+
+
+def _band_record(alpha, m_eff, n_eff, kind, sims, seed, removed):
     if kind not in ("analytic", "simulated"):
         raise ParameterError(f"unknown band kind {kind!r}")
     if kind == "analytic":
@@ -354,26 +405,111 @@ def band_constant(
             sims = 0
         elif alpha * (sims + 1) < 1.0:
             sims = math.ceil(1.0 / alpha)
-    return _band_constant(alpha, m_eff, n_eff, kind, sims, seed, tuple(removed))
+    return _band_records(alpha, m_eff, n_eff, kind, sims, seed, tuple(removed))
 
 
-def _compute_band_constant(alpha, m_eff, n_eff, kind, sims, seed, removed):
-    if kind == "analytic" and m_eff >= 8:
-        return BandConstant("analytic", beta_threshold(alpha, m_eff), m_eff, n_eff, alpha)
-    q_m, q_n = removed
-    rng = RngStream(seed, 0, ("null-band", m_eff + q_m, n_eff + q_n, sims, round(alpha, 12)))
-    const = simulate_null_sup_quantile(alpha, m_eff, n_eff, sims, rng, removed=removed)
-    if kind == "analytic" and const.c < (floor_c := beta_threshold(alpha, 8)):
-        const = replace(const, c=floor_c)
-    return const
+class _BandRecord:
+    """One band key's constant, or the null sup statistics computed toward it.
+
+    A simulated constant c = T_(k) is the k-th smallest of `sims` null sup
+    statistics, so t > c exactly when at least k of them lie below t, and
+    t <= c exactly when sims + 1 - k of them reach t: any subset of the
+    statistics that holds either count settles the verdict.  The first
+    query cuts the stored null draw chunk by chunk, in draw order, until
+    one count is reached, and keeps the statistics (at most `sims` floats).
+    A later query answers from them when they settle it, and otherwise
+    cuts the remaining chunks and completes the record: then c is known,
+    the statistics are dropped and every query is one comparison, without
+    the lock.  A draw over `_DRAW_BUDGET` is not stored, so there the
+    first query completes the record in one pass, drawing each chunk once.
+    The analytic fallback's floor beta(alpha, 8) settles t <= floor
+    without any row.
+    """
+
+    def __init__(self, alpha, m_eff, n_eff, kind, sims, seed, removed):
+        self.const = None
+        if kind == "analytic" and m_eff >= 8:
+            self.const = BandConstant("analytic", beta_threshold(alpha, m_eff), m_eff, n_eff,
+                                      alpha)
+            return
+        self._k = _rank(alpha, m_eff, n_eff, sims, removed)
+        self._reach = sims + 1 - self._k
+        self._key = (alpha, m_eff, n_eff, sims, removed)
+        self._floor = beta_threshold(alpha, 8) if kind == "analytic" else -math.inf
+        m, n = m_eff + removed[0], n_eff + removed[1]
+        self._rng = RngStream(seed, 0, ("null-band", m, n, sims, round(alpha, 12)))
+        self._stats, self._chunks = np.empty(0), 0  # cut so far, in draw order
+        self._lock = threading.Lock()
+
+    def constant(self) -> BandConstant:
+        if self.const is None:
+            with self._lock:
+                if self.const is None:
+                    self._complete()
+        return self.const
+
+    def exceeds(self, t: float) -> bool:
+        const = self.const
+        if const is None:
+            if t <= self._floor:
+                return False
+            with self._lock:
+                const = self.const
+                if const is None:
+                    verdict = self._settle(t)
+                    if verdict is not None:
+                        return verdict
+                    const = self._complete()
+        return bool(t > const.c)
+
+    def _settle(self, t):
+        """t > c if the kept statistics settle it, else None; a first query cuts until they do."""
+        alpha, m_eff, n_eff, sims, removed = self._key
+        if self._chunks or _over_budget(m_eff + n_eff + sum(removed), sims):
+            return self._verdict(int(np.count_nonzero(self._stats < t)), len(self._stats))
+        # one buffer of sims floats: statistics kept as separate small arrays
+        # measured 5 MB more peak RSS on the two-thread power grid
+        stats, below = np.empty(sims), 0
+        for T in self._more():
+            rows = len(self._stats)
+            stats[rows:rows + len(T)] = T
+            self._stats, self._chunks = stats[:rows + len(T)], self._chunks + 1
+            below += int(np.count_nonzero(T < t))
+            verdict = self._verdict(below, len(self._stats))
+            if verdict is not None:
+                return verdict
+
+    def _verdict(self, below: int, rows: int):
+        """t > c once `below` of `rows` statistics lie below t, t <= c once the
+        rest reach sims + 1 - k, None while neither holds."""
+        if below >= self._k:
+            return True
+        if rows - below >= self._reach:
+            return False
+        return None
+
+    def _complete(self) -> BandConstant:
+        alpha, m_eff, n_eff, sims, _ = self._key
+        T = np.concatenate([self._stats, *self._more()])
+        c = max(float(np.partition(T, self._k - 1)[self._k - 1]), self._floor)
+        self.const = BandConstant("simulated", c, m_eff, n_eff, alpha, sims)
+        self._stats = self._rng = None
+        return self.const
+
+    def _more(self):
+        """The sup statistics of the draw's chunks after those already kept."""
+        alpha, m_eff, n_eff, sims, removed = self._key
+        draw = _null_draw(self._rng, m_eff + n_eff + sum(removed), sims)
+        rest = itertools.islice(draw, self._chunks, None)
+        return _sup_statistics(rest, m_eff, n_eff, removed)
 
 
 # The adaptive search evaluates many TV candidates whose binomial quantiles
-# coincide, so band constants repeat heavily.  A simulated constant derives
-# its stream from its full sizes, so the memo content is independent of
-# evaluation order.  One null draw is kept: every candidate of a sample cuts
-# the same one, and samples are bounded one after another.
-_band_constant = _SingleFlight(_compute_band_constant, MEMO_SIZE)
+# coincide, so band keys repeat heavily.  A simulated record derives its
+# stream from its full sizes, so its statistics and constant are independent
+# of evaluation order.  One null draw is kept: every candidate of a sample
+# cuts the same one, and samples are bounded one after another.
+_band_records = _SingleFlight(_BandRecord, MEMO_SIZE)
 _stored_draw = _SingleFlight(
     lambda identity, N, sims: tuple(_draw_rows(RngStream(*identity), N, sims)), 1
 )

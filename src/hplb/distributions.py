@@ -27,7 +27,7 @@ __all__ = [
     "normal_quantile",
 ]
 
-# Entries kept by the binomial-quantile memo here and the band-constant memo
+# Entries kept by the binomial-quantile memo here and the band-record memo
 # in `counting`.  Every memo of the package is a `_SingleFlight`, and so
 # evicts its oldest entry to make room for a new one.
 MEMO_SIZE = 4096

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hplb import LabeledScores
+from hplb import LabeledScores, counting
 
 
 @pytest.fixture
@@ -19,3 +19,17 @@ def separated_scores(m, n, tie_seed=0):
     scores = np.concatenate([np.linspace(0.0, 0.4, m), np.linspace(0.6, 1.0, n)])
     labels = np.concatenate([np.zeros(m, dtype=int), np.ones(n, dtype=int)])
     return LabeledScores(scores=scores, labels=labels, tie_seed=tie_seed)
+
+
+def count_null_rows(monkeypatch):
+    """Record (m_eff, n_eff, rows) for every chunk of null rows the band cuts."""
+    rows = []
+    sup_statistics = counting._sup_statistics
+
+    def counted(chunks, m_eff, n_eff, removed):
+        for T in sup_statistics(chunks, m_eff, n_eff, removed):
+            rows.append((m_eff, n_eff, len(T)))
+            yield T
+
+    monkeypatch.setattr(counting, "_sup_statistics", counted)
+    return rows

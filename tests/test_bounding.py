@@ -1,8 +1,11 @@
 """Piecewise bounding envelope and the violation predicate."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import count_null_rows
 from hplb import (
     BoundSpec,
     CountingPath,
@@ -13,9 +16,13 @@ from hplb import (
     beta_threshold,
     binom_quantile,
     BinomialParams,
+    bounding,
     build_counting_path,
+    counting,
     effective_sizes,
+    io,
     is_violated,
+    lambda_adapt,
     q_bound,
     w_scale,
 )
@@ -107,6 +114,27 @@ def _balanced_path(m, n):
     return _path_from(np.floor(z * m / (m + n)).astype(np.int64), m, n)
 
 
+TIE_SPEC = BoundSpec(alpha=0.05, band_kind="simulated", sims=1000, seed=2)
+
+
+def _tie_rows():
+    """Per (m, n): the constant c of TIE_SPEC at lam = 0, the null rows of its
+    seeded draw (rebuilt as 0/1 rows) whose statistic equals c, and the statistic."""
+    spec = TIE_SPEC
+    a = spec.alpha / 3.0
+    for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100)]:
+        c = band_constant(a, m, n, "simulated", sims=spec.sims, seed=spec.seed).c
+        rows = np.tile(np.repeat([1, 0], [m, n]), (spec.sims, 1))
+        stream = RngStream(spec.seed, 0, ("null-band", m, n, spec.sims, round(a, 12)))
+        rows = stream.generator.permuted(rows, axis=1)
+        z = np.arange(1, m + n)
+
+        def statistic(row, z=z, m=m, n=n):
+            return (np.cumsum(row)[:-1] - z * (m / (m + n))) / w_scale(z, m, n)
+
+        yield m, n, c, [row for row in rows if statistic(row).max() == c], statistic
+
+
 class TestIsViolated:
     def test_balanced_path_quiet_at_zero(self):
         hit, _ = is_violated(_balanced_path(200, 200), 0.0, ANALYTIC)
@@ -131,25 +159,13 @@ class TestIsViolated:
         # and the rank rule bounds P(T > c): a data path whose statistic
         # equals c exactly is not violated, and one step above it is.  The
         # rows are rebuilt from each constant's seeded draw as 0/1 rows.
-        spec = BoundSpec(alpha=0.05, band_kind="simulated", sims=1000, seed=2)
-        a = spec.alpha / 3.0
         ties = raised = 0
-        for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100)]:
-            c = band_constant(a, m, n, "simulated", sims=spec.sims, seed=spec.seed).c
-            rows = np.tile(np.repeat([1, 0], [m, n]), (spec.sims, 1))
-            stream = RngStream(spec.seed, 0, ("null-band", m, n, spec.sims, round(a, 12)))
-            rows = stream.generator.permuted(rows, axis=1)
-            z = np.arange(1, m + n)
-
-            def statistic(row):
-                return (np.cumsum(row)[:-1] - z * (m / (m + n))) / w_scale(z, m, n)
-
-            tied = [row for row in rows if statistic(row).max() == c]
+        for m, n, c, tied, statistic in _tie_rows():
             assert tied, (m, n)
             ties += len(tied)
             for row in tied:
                 path = _path_from(np.cumsum(row)[:-1], m, n)
-                assert is_violated(path, 0.0, spec) == (False, None)
+                assert is_violated(path, 0.0, TIE_SPEC) == (False, None)
                 # move the first one after the argmax z* ahead of the last
                 # zero at or before it: V rises by one on a run of z through z*
                 top = int(np.argmax(statistic(row)))
@@ -162,7 +178,7 @@ class TestIsViolated:
                 stat = statistic(up)
                 assert stat.max() > c
                 path = _path_from(np.cumsum(up)[:-1], m, n)
-                assert is_violated(path, 0.0, spec) == (True, int(np.argmax(stat)) + 1)
+                assert is_violated(path, 0.0, TIE_SPEC) == (True, int(np.argmax(stat)) + 1)
                 raised += 1
         assert ties >= 30 and raised >= 10, (ties, raised)
 
@@ -209,6 +225,158 @@ class TestIsViolated:
             cur = q_bound(z, float(lam), m, n, ANALYTIC)
             assert (cur >= prev - 1e-9).all()
             prev = cur
+
+
+class TestSequentialDecision:
+    """is_violated decides T_obs > c from the null rows that settle it, and
+    its verdict is always that of the completed constant."""
+
+    @pytest.mark.parametrize("draw", ["stored", "over_budget"])
+    @pytest.mark.parametrize("kind", ["analytic", "simulated"])
+    def test_verdict_is_the_comparison_with_the_constant(self, monkeypatch, kind, draw):
+        # Every pair the bisection reaches on seeded samples is decided on a
+        # fresh record, then compared with T_obs > band_constant(...).c.  The
+        # analytic samples reach m_eff < 8, where that band simulates above
+        # its floor.  Over the draw budget a query completes its record in
+        # one pass of one draw.
+        sims = 400
+        monkeypatch.setattr(counting, "_CHUNK_IDS", 1500)  # chunks of 3 to 150 rows
+        if draw == "over_budget":
+            monkeypatch.setattr(counting, "_DRAW_BUDGET", 0)
+        rows = count_null_rows(monkeypatch)
+        draws = []
+        draw_rows = counting._draw_rows
+        monkeypatch.setattr(counting, "_draw_rows",
+                            lambda *args: draws.append(args[1:]) or draw_rows(*args))
+        queries = []
+        exceeds_band = counting.exceeds_band
+
+        def recorded(t, **key):
+            verdict = exceeds_band(t, **key)
+            queries.append((t, key, verdict))
+            return verdict
+
+        monkeypatch.setattr(bounding, "exceeds_band", recorded)
+        spec = BoundSpec(alpha=0.05, band_kind=kind, sims=sims, seed=1)
+        rng = np.random.default_rng(8)
+        checked = fallback = floored = partial = 0
+        for m, n, shift in [(60, 60, 0.8), (10, 90, 3.0), (150, 40, 0.4), (30, 30, 0.0),
+                            (12, 200, 2.5), (90, 15, 1.5), (200, 200, 0.3)]:
+            scores = np.concatenate([rng.normal(-shift, 1.0, m), rng.normal(0.0, 1.0, n)])
+            data = LabeledScores(scores, np.repeat([0, 1], [m, n]), tie_seed=m)
+            counting.clear_band_cache()
+            queries.clear()
+            rows.clear()
+            draws.clear()
+            lambda_adapt(data, spec)
+            cut = {}
+            for m_eff, n_eff, r in rows:
+                cut[m_eff, n_eff] = cut.get((m_eff, n_eff), 0) + r
+            drawn = len(draws)
+            for t, key, verdict in queries:
+                assert verdict == (t > band_constant(**key).c), (m, n, key)
+                checked += 1
+                fallback += kind == "analytic" and key["m_eff"] < 8
+            # each pair is queried once, and its rows are cut at its sizes
+            partial += sum(0 < r < sims for r in cut.values())
+            floored += sum(kind == "analytic" and k["m_eff"] < 8
+                           and (k["m_eff"], k["n_eff"]) not in cut for _, k, _ in queries)
+            if draw == "over_budget":
+                assert all(r == sims for r in cut.values())
+                assert drawn == len(cut)
+            elif kind == "simulated":
+                assert drawn == 1
+        assert checked >= 30
+        if kind == "analytic":
+            assert fallback >= 10 and floored >= 3
+        assert partial >= (0 if draw == "over_budget" else 3 if kind == "analytic" else 30)
+        assert draw == "stored" or partial == 0
+        counting.clear_band_cache()
+
+
+    def test_verdict_at_the_order_statistics_around_the_rank(self, monkeypatch):
+        # Statistics at and between the null rows' order statistics T_(k-2)
+        # .. T_(k+1), each decided on a fresh record from chunks of 5 to 15
+        # rows: exactly k - 1 rows below t (t in (T_(k-1), T_(k)]) is not
+        # a violation, and exactly k is
+        monkeypatch.setattr(counting, "_CHUNK_IDS", 2000)
+        a, sims = 0.05 / 3, 400
+        k = sims + 1 - int(a * (sims + 1))
+        gaps = 0
+        for kind, m_eff, n_eff, removed in [("simulated", 150, 180, (20, 30)),
+                                            ("simulated", 200, 130, (0, 0)),
+                                            ("analytic", 3, 400, (0, 0))]:
+            key = dict(alpha=a, m_eff=m_eff, n_eff=n_eff, kind=kind, sims=sims, seed=4,
+                       removed=removed)
+            counting.clear_band_cache()
+            record = counting._band_record(**key)
+            T = np.sort(np.concatenate(list(record._more())))
+            c = band_constant(**key).c
+            assert c == max(T[k - 1], beta_threshold(a, 8) if kind == "analytic" else 0.0)
+            gaps += T[k - 2] < T[k - 1]
+            ts = []
+            for j in range(k - 3, k + 1):
+                ts += [T[j], np.nextafter(T[j], -np.inf), np.nextafter(T[j], np.inf)]
+            for t in ts:
+                counting.clear_band_cache()
+                assert counting.exceeds_band(t, **key) == (t > c), (key, t)
+        assert gaps >= 2
+        counting.clear_band_cache()
+
+    def test_fallback_floor_settles_without_rows(self, monkeypatch):
+        # the analytic band's m_eff < 8 constant is max(T_(k), beta(a, 8)):
+        # a statistic at or below the floor is decided with no null row
+        rows = count_null_rows(monkeypatch)
+        a = 0.05 / 3
+        floor = beta_threshold(a, 8)
+        for m_eff, n_eff in [(5, 50), (3, 400), (7, 7), (1, 30)]:
+            key = dict(alpha=a, m_eff=m_eff, n_eff=n_eff, kind="analytic", sims=400, seed=3)
+            counting.clear_band_cache()
+            assert not counting.exceeds_band(floor, **key)
+            assert rows == []
+            c = band_constant(**key).c
+            assert c >= floor and sum(r for _, _, r in rows) == 400
+            for t in (floor, np.nextafter(floor, np.inf), c, np.nextafter(c, np.inf), c + 1.0):
+                counting.clear_band_cache()
+                assert counting.exceeds_band(t, **key) == (t > c)
+            rows.clear()
+        counting.clear_band_cache()
+
+    def test_tie_rows_on_a_fresh_record(self, monkeypatch):
+        # each tie row of test_tie_with_the_band_constant_is_not_a_violation
+        # is decided on a fresh record, from chunks of 10 to 50 rows: T_obs = c
+        # is not above the k-th smallest statistic, and the rank rule stops
+        # only once it has sims + 1 - k rows at or above T_obs
+        monkeypatch.setattr(counting, "_CHUNK_IDS", 2000)
+        ties = 0
+        for m, n, c, tied, _ in _tie_rows():
+            for row in tied:
+                counting.clear_band_cache()
+                path = _path_from(np.cumsum(row)[:-1], m, n)
+                assert is_violated(path, 0.0, TIE_SPEC) == (False, None)
+                ties += 1
+        assert ties == 47
+        counting.clear_band_cache()
+
+    def test_far_candidate_is_settled_by_the_first_chunk(self, monkeypatch):
+        # guards the saving: lam = 0.5 on data/two_sample_contamination.csv
+        # (N = 400, value 0.0836) is not refuted, and the first chunk of the
+        # default spec's draw, 327 of its 1000 rows, says so
+        rows = count_null_rows(monkeypatch)
+        data = io.parse_two_sample(Path(__file__).resolve().parent.parent / "data"
+                                   / "two_sample_contamination.csv")
+        path = build_counting_path(data)
+        spec = BoundSpec()
+        counting.clear_band_cache()
+        assert is_violated(path, 0.5, spec) == (False, None)
+        first = counting._CHUNK_IDS // data.total
+        assert [r for _, _, r in rows] == [first] and first < spec.sims
+        # the record keeps those statistics alone, and drops them once complete
+        key = bounding._band_key(effective_sizes(0.5, data.m, data.n, spec), spec)
+        record = counting._band_record(**key)
+        assert record._stats.shape == (first,) and record._stats.base.shape == (spec.sims,)
+        assert band_constant(**key) is record.const and record._stats is None
+        counting.clear_band_cache()
 
 
 def test_boundspec_validation():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import separated_scores
+from conftest import count_null_rows, separated_scores
 from hplb import (
     BandConstant,
     BandDomainError,
@@ -281,35 +281,50 @@ class TestCoupledDraw:
         counting.clear_band_cache()
 
     def test_concurrent_misses_compute_once(self, monkeypatch):
-        # eight threads on two cores miss two keys of one sample at once:
-        # each key is simulated once and the shared draw is made once; the
+        # eight threads on two cores query two keys of one sample at once,
+        # each thread with its own T_obs and then for the constant: every
+        # null row of a key is cut once, the shared draw is made once, each
+        # verdict is the serial one and each key has one constant; the
         # binomial-quantile memo is the same single-flight memo
-        calls, draws = [], []
-        simulate, draw_rows = counting.simulate_null_sup_quantile, counting._draw_rows
+        keys = [(40, 30, (3, 1)), (41, 30, (2, 1))]
 
-        def counted_simulate(*args, **kwargs):
-            calls.append(args[1:3])
-            time.sleep(0.05)
-            return simulate(*args, **kwargs)
+        def constant(key):
+            return band_constant(0.05 / 3, key[0], key[1], "simulated", sims=200, seed=2,
+                                 removed=key[2])
+
+        counting.clear_band_cache()
+        serial = [constant(key).c for key in keys]
+        rows, draws = [], []
+        sup_statistics, draw_rows = counting._sup_statistics, counting._draw_rows
+
+        def counted_sup_statistics(chunks, m_eff, n_eff, removed):
+            for T in sup_statistics(chunks, m_eff, n_eff, removed):
+                rows.append(((m_eff, n_eff), len(T)))
+                time.sleep(0.005)
+                yield T
 
         def counted_draw_rows(*args):
             draws.append(args[1:])
             time.sleep(0.05)
             return draw_rows(*args)
 
-        monkeypatch.setattr(counting, "simulate_null_sup_quantile", counted_simulate)
+        monkeypatch.setattr(counting, "_sup_statistics", counted_sup_statistics)
         monkeypatch.setattr(counting, "_draw_rows", counted_draw_rows)
+        monkeypatch.setattr(counting, "_CHUNK_IDS", 74 * 20)  # ten chunks of 20 rows
         counting.clear_band_cache()
-        keys = [(40, 30, (3, 1)), (41, 30, (2, 1))]
+        # per key: far below, just below, at and just above its constant
+        offsets = (-2.0, -1e-9, 0.0, 1e-9)
         barrier = threading.Barrier(8)
-        results = [None] * 8
+        verdicts, results = [None] * 8, [None] * 8
 
         def worker(i):
             barrier.wait(timeout=10)
             m_eff, n_eff, removed = keys[i % 2]
             distributions._binom_quantile(1 - 0.05 / 3, 0.1 * (1 + i % 2), 500)
-            results[i] = band_constant(0.05 / 3, m_eff, n_eff, "simulated", sims=200,
-                                       seed=2, removed=removed)
+            verdicts[i] = counting.exceeds_band(serial[i % 2] + offsets[i // 2], 0.05 / 3,
+                                                m_eff, n_eff, "simulated", sims=200, seed=2,
+                                                removed=removed)
+            results[i] = constant(keys[i % 2])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -322,9 +337,13 @@ class TestCoupledDraw:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert sorted(calls) == [(40, 30), (41, 30)]
+        for m_eff, n_eff, _ in keys:
+            assert sum(r for key, r in rows if key == (m_eff, n_eff)) == 200
         assert draws == [(43 + 31, 200)]
+        assert verdicts == [serial[i % 2] + offsets[i // 2] > serial[i % 2] for i in range(8)]
+        assert verdicts == [False] * 6 + [True] * 2
         assert all(results[i] is results[i % 2] for i in range(8))
+        assert [results[0].c, results[1].c] == serial
         assert distributions._binom_quantile.cache_info().misses == 2
         counting.clear_band_cache()
 
@@ -333,8 +352,10 @@ class TestCoupledDraw:
         for _ in range(2):
             with pytest.raises(ParameterError):
                 band_constant(0.001 / 3, 10, 10, "simulated", sims=1000)
-        info = counting._band_constant.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
+            with pytest.raises(ParameterError):
+                counting.exceeds_band(1.0, 0.001 / 3, 10, 10, "simulated", sims=1000)
+        info = counting._band_records.cache_info()
+        assert (info.misses, info.currsize) == (4, 0)
 
 
 class TestBandValue:
@@ -380,22 +401,28 @@ class TestBandCache:
         moved = band_constant(0.001 / 3, 5, 50, "analytic", sims=1000, seed=0, removed=(9, 4))
         assert moved is const
 
-    def test_clear_empties_both_memos_and_warm_rerun_hits(self):
-        # clear_band_cache() empties the band and quantile memos, so every CLI
-        # command (and every benchmark command) starts cold; a warm rerun of
-        # lambda_adapt then answers from the memos alone
-        memos = (counting._band_constant, distributions._binom_quantile)
+    def test_clear_empties_both_memos_and_warm_rerun_hits(self, monkeypatch):
+        # clear_band_cache() empties the band-record and quantile memos, so
+        # every CLI command (and every benchmark command) starts cold; a warm
+        # rerun of lambda_adapt then answers from the memos alone, the
+        # verdicts from the null rows the cold run kept
+        rows = count_null_rows(monkeypatch)
+        memos = (counting._band_records, distributions._binom_quantile)
         data = separated_scores(40, 60, tie_seed=3)
         spec = BoundSpec(alpha=0.05, band_kind="simulated", sims=200, seed=5)
         lambda_adapt(data, spec)
         assert all(memo.cache_info().currsize > 0 for memo in memos)
         counting.clear_band_cache()
         assert all(memo.cache_info().currsize == 0 for memo in memos)
+        rows.clear()
         cold = lambda_adapt(data, spec)
         misses = [memo.cache_info().misses for memo in memos]
+        assert rows
+        rows.clear()
         warm = lambda_adapt(data, spec)
         assert warm == cold
         assert [memo.cache_info().misses for memo in memos] == misses
+        assert rows == []
         assert all(memo.cache_info().maxsize == distributions.MEMO_SIZE for memo in memos)
 
 
