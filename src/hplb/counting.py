@@ -21,8 +21,14 @@ Both share the hypergeometric standard deviation scale
 
 A path leaves the band of constant c exactly when its normalized sup
 statistic T = max_z (V[z] - z m/N) / w(z, m, n) exceeds c; a tie T = c is
-not a violation.  The simulation and `bounding.is_violated` compute T with
-one routine, `_normalized_paths`.
+not a violation.  `bounding.is_violated` computes the data's T with
+`_normalized_paths`, every double (V[z] - z m/N) / w(z) of the path.  A
+null row of fewer than `_WORD_MIN` ids takes the same route.  A longer
+row takes the word kernel `_word_sups`: it bounds each word of 8 flags
+from its ends and computes only the doubles of the words whose bound can
+reach the row's maximum.  Rounding is monotone, so the bound dominates
+the doubles it skips, and its T is bit for bit that of
+`_normalized_paths`.
 
 `is_violated` needs only the verdict T_obs > c, and `exceeds_band` gives
 it from the fewest null rows the Monte Carlo rank rule needs (sequential
@@ -199,15 +205,20 @@ class BandConstant:
             raise ParameterError("effective sizes must be at least 1")
 
 
+def _mean_and_scale(m_eff: int, n_eff: int):
+    """The null mean line z m_eff/N_eff and the scale w(z, m_eff, n_eff), z = 1..N_eff-1."""
+    N_eff = m_eff + n_eff
+    z = np.arange(1, N_eff)
+    return z * (m_eff / N_eff), w_scale(z, m_eff, n_eff)
+
+
 def _normalized_paths(chunks, m_eff: int, n_eff: int):
     """Yield (V[z] - z m_eff/N_eff) / w(z, m_eff, n_eff), z = 1..N_eff-1, per chunk.
 
     Each chunk holds counting paths V at sizes (m_eff, n_eff), one per row
     (or a single 1-D path); the mean line and the scale are computed once.
     """
-    N_eff = m_eff + n_eff
-    z = np.arange(1, N_eff)
-    mean, wv = z * (m_eff / N_eff), w_scale(z, m_eff, n_eff)
+    mean, wv = _mean_and_scale(m_eff, n_eff)
     for V in chunks:
         X = V - mean
         X /= wv
@@ -273,6 +284,9 @@ def simulate_null_sup_quantile(
 # same values.
 _CHUNK_IDS = 1 << 17
 _DRAW_BUDGET = 64 << 20
+# The np.intp shuffle scratch of `_draw_rows` holds at most _SCRATCH_IDS ids
+# (128 KiB), an eighth of what a whole chunk would take.
+_SCRATCH_IDS = 1 << 14
 
 
 def _id_dtype(N: int) -> np.dtype:
@@ -289,13 +303,22 @@ def _draw_rows(rng: RngStream, N: int, sims: int):
     `permuted` shuffles row after row alike whatever the dtype and the
     chunking, so the ids below m mark the ones of the 0/1 rows that the
     same generator would shuffle: an uncut draw reproduces those rows.
+    The rows are shuffled in an `np.intp` scratch buffer of at most
+    _SCRATCH_IDS ids (at least one row), which takes numpy's shuffle
+    specialised for that itemsize, and stored at `_id_dtype(N)`: the
+    shuffle draws one bounded integer per swap whatever the itemsize, so
+    the ids are those of a shuffle at the stored dtype.
     """
     gen = rng.generator
     rows = max(1, min(sims, _CHUNK_IDS // N))
+    scratch = np.empty((max(1, min(rows, _SCRATCH_IDS // N)), N), dtype=np.intp)
     for start in range(0, sims, rows):
-        shape = (min(rows, sims - start), N)
-        ids = np.broadcast_to(np.arange(N, dtype=_id_dtype(N)), shape).copy()
-        yield gen.permuted(ids, axis=1, out=ids)
+        ids = np.empty((min(rows, sims - start), N), dtype=_id_dtype(N))
+        for row in range(0, len(ids), len(scratch)):
+            part = scratch[:len(ids) - row]
+            part[...] = np.arange(N)
+            ids[row:row + len(part)] = gen.permuted(part, axis=1, out=part)
+        yield ids
 
 
 def _null_draw(rng: RngStream, N: int, sims: int):
@@ -315,15 +338,80 @@ def _cut(ids: np.ndarray, m: int, q_m: int, q_n: int) -> np.ndarray:
     if not (q_m or q_n):
         return flags
     keep = (ids >= q_m) & ((ids < m) | (ids >= m + q_n))
-    return flags[keep].reshape(len(ids), -1)
+    # np.compress on the flat arrays measured twice as fast as flags[keep]
+    return np.compress(keep.ravel(), flags.ravel()).reshape(len(ids), -1)
 
 
 def _sup_statistics(chunks, m_eff: int, n_eff: int, removed: tuple):
     """Yield the sup statistic T of every row of each id chunk, cut at `removed`."""
     q_m, q_n = removed
-    paths = (np.cumsum(_cut(ids, m_eff + q_m, q_m, q_n)[:, :-1], axis=1, dtype=np.int32)
-             for ids in chunks)
+    flags = (_cut(ids, m_eff + q_m, q_m, q_n) for ids in chunks)
+    if _WORD_MIN <= m_eff + n_eff < 1 << 25:
+        return _word_sups(flags, m_eff, n_eff)
+    dtype = np.int16 if m_eff < 1 << 15 else np.int32
+    paths = (np.cumsum(f[:, :-1], axis=1, dtype=dtype) for f in flags)
     return (X.max(axis=1) for X in _normalized_paths(paths, m_eff, n_eff))
+
+
+# Rows of at least _WORD_MIN ids take the word kernel; on shorter rows a
+# prefix sum at every z measured faster (crossover near 230 ids, 2 cores).
+_WORD_MIN = 256
+
+
+def _word_sups(flags, m_eff: int, n_eff: int):
+    """Yield T = max_z (V[z] - z m_eff/N) / w(z) per row of each one-flag chunk, N < 2**25.
+
+    The doubles compared are those of `_normalized_paths`, so T is bit for
+    bit its maximum; most of them are never computed.  Each row's flags are
+    read as little-endian words of 8 flags; times 0x0101010101010101, byte
+    j of a word holds the ones among its flags 0..j, the top byte its total
+    t, and the cumulative totals V_end = V at each word's last z.  The
+    statistics there give a row lower bound.  A word whose z run over
+    z0 + 1..z0 + 8 has V[z] <= V_end, and V[z] <= V_end - (zt - z) below
+    zt = z0 + max(t, 1), one one per step at most.  The mean line
+    mu[z] = fl(z m_eff/N) is increasing, and mu[zt] - mu[z] <= zt - z: the
+    step m_eff/N is at most 1 - 1/N, and for N < 2**25 the roundings of
+    mu, 2**-53 N at most, are far below 1/N.  Subtraction and division
+    round monotonically, so every double (V[z] - mu[z]) / w(z) of the word
+    is at most U = max(V_end - mu[zt], 0) / min(w).  Only the words with U
+    above the row's lower bound are evaluated.  z = N and the padding to a
+    whole word have mean +inf and statistic -inf.
+    """
+    N = m_eff + n_eff
+    words = -(-N // 8)
+    mean, wv = _mean_and_scale(m_eff, n_eff)
+    # row t of `reach`: mu at z0 + max(t, 1), the mean line continued past N - 1
+    line = np.append(mean, np.arange(N, 8 * words + 1) * (m_eff / N))
+    reach = line.reshape(words, 8).T[[0, *range(8)]].ravel()
+    at = np.arange(words)
+    # (8, words): row j holds the word's z = z0 + j + 1
+    pad = 8 * words - len(mean)
+    mean = np.append(mean, np.full(pad, np.inf)).reshape(words, 8).T.copy()
+    w_min = np.append(wv, np.full(pad, np.inf)).reshape(words, 8).min(axis=1)
+    wv = np.append(wv, np.ones(pad)).reshape(words, 8).T.copy()
+    shifts = np.arange(0, 64, 8)[:, None]
+    for f in flags:
+        if f.shape[1] < 8 * words:
+            f = np.concatenate([f, np.zeros((len(f), 8 * words - N), dtype=bool)], axis=1)
+        # at most 8 per byte, so no carry and a top byte below 128
+        prefix = (f.view("<u8") * np.uint64(0x0101010101010101)).view(np.int64)
+        t = prefix >> 56
+        V = np.cumsum(t, axis=1)
+        X = V - mean[7]
+        X /= wv[7]
+        T = X.max(axis=1)
+        t *= words
+        t += at  # the index of (t, w) in `reach`
+        X = np.subtract(V, np.take(reach, t), out=X)
+        np.maximum(X, 0.0, out=X)
+        X /= w_min
+        i = np.flatnonzero(X > T[:, None])
+        prefix, V = prefix.ravel()[i], V.ravel()[i]
+        w = i % words
+        X = V - (prefix >> 56) + (prefix >> shifts & 0xFF) - np.take(mean, w, axis=1)
+        X /= np.take(wv, w, axis=1)
+        np.maximum.at(T, i // words, X.max(axis=0))
+        yield T
 
 
 def band_value(const: BandConstant, z):

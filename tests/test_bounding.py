@@ -119,10 +119,11 @@ TIE_SPEC = BoundSpec(alpha=0.05, band_kind="simulated", sims=1000, seed=2)
 
 def _tie_rows():
     """Per (m, n): the constant c of TIE_SPEC at lam = 0, the null rows of its
-    seeded draw (rebuilt as 0/1 rows) whose statistic equals c, and the statistic."""
+    seeded draw (rebuilt as 0/1 rows) whose statistic equals c, and the statistic.
+    The last size is above the word kernel's crossover (`counting._WORD_MIN`)."""
     spec = TIE_SPEC
     a = spec.alpha / 3.0
-    for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100)]:
+    for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100), (700, 600)]:
         c = band_constant(a, m, n, "simulated", sims=spec.sims, seed=spec.seed).c
         rows = np.tile(np.repeat([1, 0], [m, n]), (spec.sims, 1))
         stream = RngStream(spec.seed, 0, ("null-band", m, n, spec.sims, round(a, 12)))
@@ -344,7 +345,7 @@ class TestSequentialDecision:
 
     def test_tie_rows_on_a_fresh_record(self, monkeypatch):
         # each tie row of test_tie_with_the_band_constant_is_not_a_violation
-        # is decided on a fresh record, from chunks of 10 to 50 rows: T_obs = c
+        # is decided on a fresh record, from chunks of 1 to 50 rows: T_obs = c
         # is not above the k-th smallest statistic, and the rank rule stops
         # only once it has sims + 1 - k rows at or above T_obs
         monkeypatch.setattr(counting, "_CHUNK_IDS", 2000)
@@ -355,7 +356,7 @@ class TestSequentialDecision:
                 path = _path_from(np.cumsum(row)[:-1], m, n)
                 assert is_violated(path, 0.0, TIE_SPEC) == (False, None)
                 ties += 1
-        assert ties == 47
+        assert ties == 48
         counting.clear_band_cache()
 
     def test_far_candidate_is_settled_by_the_first_chunk(self, monkeypatch):

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from conftest import count_null_rows, separated_scores
@@ -249,6 +250,31 @@ class TestCoupledDraw:
         assert (counts > 0).all()
         assert stats.chisquare(counts).pvalue > 1e-3
 
+    @pytest.mark.parametrize("draw", ["stored", "over_budget"])
+    @pytest.mark.parametrize("N, sims, chunk_ids, scratch_ids", [
+        (7, 150, 50, 1 << 14),      # chunks of 7 rows, one scratch pass each
+        (300, 120, 3000, 1000),     # chunks of 10 rows, shuffled 3 at a time
+        (5000, 7, 4000, 1 << 14),   # one row per chunk
+        ((1 << 16) + 1, 3, 1 << 17, 1 << 14),  # uint32 ids, one row per chunk
+    ])
+    def test_draw_is_the_stored_dtype_shuffle(self, monkeypatch, draw, N, sims, chunk_ids,
+                                              scratch_ids):
+        # the np.intp scratch shuffle stores byte for byte the ids that
+        # permuting the uint16 (N <= 2**16) or uint32 draw in place gives
+        monkeypatch.setattr(counting, "_CHUNK_IDS", chunk_ids)
+        monkeypatch.setattr(counting, "_SCRATCH_IDS", scratch_ids)
+        if draw == "over_budget":
+            monkeypatch.setattr(counting, "_DRAW_BUDGET", 0)
+        dtype = np.uint16 if N <= 1 << 16 else np.uint32
+        ids = np.broadcast_to(np.arange(N, dtype=dtype), (sims, N)).copy()
+        RngStream(13, 0, ("draw",)).generator.permuted(ids, axis=1, out=ids)
+        counting.clear_band_cache()
+        chunks = list(counting._null_draw(RngStream(13, 0, ("draw",)), N, sims))
+        assert counting._stored_draw.cache_info().currsize == (draw == "stored")
+        assert all(chunk.dtype == dtype for chunk in chunks)
+        assert np.concatenate(chunks).tobytes() == ids.tobytes()
+        counting.clear_band_cache()
+
     def test_constant_independent_of_memo_state_order_and_storage(self, monkeypatch):
         # two candidates of one (m, n) = (50, 35) sample cut the same draw,
         # which small chunks split into five
@@ -356,6 +382,65 @@ class TestCoupledDraw:
                 counting.exceeds_band(1.0, 0.001 / 3, 10, 10, "simulated", sims=1000)
         info = counting._band_records.cache_info()
         assert (info.misses, info.currsize) == (4, 0)
+
+
+def _naive_sups(ids, m_eff, n_eff, removed):
+    """T per row of `ids` from the cut 0/1 row: np.cumsum and (V - z m/N) / w."""
+    q_m, q_n = removed
+    m, N = m_eff + q_m, m_eff + n_eff
+    z = np.arange(1, N)
+    T = []
+    for row in ids.astype(np.int64):
+        kept = row[(row >= q_m) & ~((row >= m) & (row < m + q_n))]
+        V = np.cumsum(kept < m)[:-1]
+        T.append(((V - z * (m_eff / N)) / w_scale(z, m_eff, n_eff)).max())
+    return np.array(T)
+
+
+@st.composite
+def _row_chunks(draw):
+    """Id chunks of null rows: sizes around multiples of 8 and the word kernel's
+    crossover, m_eff or n_eff equal to 1, nonzero removed counts, one-row
+    chunks, and the rows with all ones or all zeros first."""
+    cross = counting._WORD_MIN
+    N = draw(st.one_of(st.integers(2, 40), st.integers(cross - 20, cross + 20),
+                       st.sampled_from([8 * k + d for k in (40, 63, 125, 150) for d in (-1, 0, 1)]),
+                       st.integers(cross, 1300)))
+    m_eff = draw(st.one_of(st.just(1), st.just(N - 1), st.integers(1, N - 1)))
+    q_m, q_n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    m, total = m_eff + q_m, N + q_m + q_n
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [gen.permutation(total) for _ in range(draw(st.integers(0, 6)))]
+    extreme = [np.arange(total), np.r_[m:total, :m]]  # all ones first, all zeros first
+    ids += draw(st.lists(st.sampled_from(extreme), min_size=1 if not ids else 0, max_size=2))
+    ids = np.array(draw(st.permutations(ids)), dtype=counting._id_dtype(total))
+    cuts = sorted(draw(st.lists(st.integers(1, len(ids) - 1), max_size=3, unique=True))
+                  if len(ids) > 1 else [])
+    if draw(st.booleans()):
+        cuts = list(range(1, len(ids)))  # one row per chunk
+    return np.split(ids, cuts), m_eff, N - m_eff, (q_m, q_n)
+
+
+class TestRowKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_row_chunks())
+    def test_sup_statistics_bit_identical_to_naive_formula(self, case):
+        chunks, m_eff, n_eff, removed = case
+        got = list(counting._sup_statistics(chunks, m_eff, n_eff, removed))
+        assert [len(T) for T in got] == [len(ids) for ids in chunks]
+        want = _naive_sups(np.concatenate(chunks), m_eff, n_eff, removed)
+        assert np.array_equal(np.concatenate(got).view(np.int64), want.view(np.int64))
+
+    def test_extreme_rows_on_both_paths(self):
+        # all ones first gives T > 0; all zeros first gives T < 0, which
+        # leaves every word of the row to evaluate
+        for m_eff, n_eff in [(3, 5), (120, 200), (700, 600), (1, 999), (999, 1)]:
+            N = m_eff + n_eff
+            ids = np.array([np.arange(N), np.r_[m_eff:N, :m_eff]], dtype=np.uint16)
+            T = np.concatenate(list(counting._sup_statistics([ids], m_eff, n_eff, (0, 0))))
+            want = _naive_sups(ids, m_eff, n_eff, (0, 0))
+            assert np.array_equal(T.view(np.int64), want.view(np.int64))
+            assert T[1] < 0 < T[0]
 
 
 class TestBandValue:
