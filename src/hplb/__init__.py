@@ -22,7 +22,7 @@ from .counting import (
     simulate_null_sup_quantile,
     w_scale,
 )
-from .errors import BandDomainError, DatasetError, InternalError, ParameterError
+from .errors import BandDomainError, DatasetError, ParameterError
 from .estimators import (
     AccuracyPair,
     HPLBResult,
@@ -54,8 +54,6 @@ from .mixtures import (
     bayes_projection,
     bounding_operation,
     decompose,
-    mmd_projection,
-    regression_projection,
     sample_with_witness,
     sigma_true,
     tv_exact,
@@ -77,7 +75,6 @@ __all__ = [
     "FunctionDensity",
     "Gaussian",
     "HPLBResult",
-    "InternalError",
     "LabeledScores",
     "Mixture",
     "MixtureModel",
@@ -105,11 +102,9 @@ __all__ = [
     "lambda_bayes",
     "lambda_c",
     "lambda_oracle_t",
-    "mmd_projection",
     "normal_quantile",
     "pairwise_matrix",
     "q_bound",
-    "regression_projection",
     "run_level_study",
     "run_power_grid",
     "sample_with_witness",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: estimate, simulate, level, powergrid, scan, pairwise.
-Exit codes: 0 success, 2 validation or usage error, 3 internal error.
+Exit codes: 0 success, 2 validation or usage error, 3 any unexpected exception.
 Option precedence: command-line flags > config file (flat key=value lines
 via --config) > built-in defaults.  Every command is deterministic given
 --seed; HPLB_THREADS only caps worker counts and never changes results.
@@ -219,12 +219,8 @@ def _cmd_level(args, cfg):
     freq = run_level_study(
         spec, args.method, bound.alpha, reps, RngStream(bound.seed, 0, ("level",)), bound
     )
-    payload = {"method": args.method, "alpha": bound.alpha, "reps": reps, "exceedance": freq}
-    if _opt(args, cfg, "format") == "json":
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    else:
-        text = "method,alpha,reps,exceedance\n" + f"{args.method},{bound.alpha:.6f},{reps},{freq:.6f}\n"
-    hio.write_text(_opt(args, cfg, "output"), text)
+    hio.emit_level(args.method, bound.alpha, reps, freq, _opt(args, cfg, "format"),
+                   _opt(args, cfg, "output"))
     return 0
 
 

@@ -23,18 +23,17 @@ A path leaves the band of constant c exactly when its normalized sup
 statistic T = max_z (V[z] - z m/N) / w(z, m, n) exceeds c; a tie T = c is
 not a violation.  `bounding.is_violated` computes the data's T with
 `_normalized_paths`, every double (V[z] - z m/N) / w(z) of the path.  A
-null row of fewer than `_WORD_MIN` ids takes the same route.  A longer
-row takes the word kernel `_word_sups`: it bounds each word of 8 flags
-from its ends and computes only the doubles of the words whose bound can
-reach the row's maximum.  Rounding is monotone, so the bound dominates
-the doubles it skips, and its T is bit for bit that of
-`_normalized_paths`.
+null row of at least `_WORD_MIN` and fewer than 2**25 ids takes the word
+kernel `_word_sups`, whose T is bit for bit the same.  `is_violated`
+needs only the verdict T_obs > c, and `exceeds_band` gives it from the
+fewest null rows the Monte Carlo rank rule needs, on one memoized record
+of null sup statistics per band key (`_BandRecord`).
 
-`is_violated` needs only the verdict T_obs > c, and `exceeds_band` gives
-it from the fewest null rows the Monte Carlo rank rule needs (sequential
-Monte Carlo tests, Besag & Clifford 1991): each band key has one memoized
-record of null sup statistics, cut in draw order as verdicts need them
-and completed by `band_constant` or a later verdict (see `_BandRecord`).
+The arguments behind these claims live in README.md, Notes: "Coupled null
+draws and the rank rule" (each cut row is an exact null path), "One
+statistic decides a candidate" (the word kernel's monotone rounding), "A
+verdict reads as few null rows as the rank rule needs" (the stop rule)
+and "The analytic fallback is floored at beta(alpha, 8)".
 """
 
 from __future__ import annotations
@@ -257,18 +256,17 @@ def simulate_null_sup_quantile(
     The simulations cut one null draw: `sims` uniform permutations of the
     ids 0..N-1, N = m + n with m = m_eff + q_m, n = n_eff + q_n and
     (q_m, q_n) = `removed`.  Ids below m are ones, the rest zeros.  Each
-    row drops the q_m smallest one-ids and the q_n smallest zero-ids;
-    deleting a fixed id set from a uniform permutation leaves a uniform
-    arrangement of the rest, so every row is an exact null path of m_eff
-    ones among n_eff zeros.  The draw restarts `rng` from its identity and
-    depends on that and (N, sims) only, so constants with another
-    `removed` cut the same draw, which is kept between calls (see
+    row drops the q_m smallest one-ids and the q_n smallest zero-ids, which
+    leaves an exact null path of m_eff ones among n_eff zeros (README.md,
+    Notes, "Coupled null draws").  The draw restarts `rng` from its
+    identity and depends on that and (N, sims) only, so constants with
+    another `removed` cut the same draw, which is kept between calls (see
     `_null_draw`).
 
     The constant is the k-th smallest T with k = ceil((1-alpha)(sims+1)),
-    the Monte Carlo rank rule (Besag & Clifford 1989): a fresh null path
-    exceeds it with probability (sims + 1 - k) / (sims + 1) <= alpha.
-    Budgets with k > sims, that is alpha (sims + 1) < 1, are rejected.
+    the Monte Carlo rank rule: a fresh null path exceeds it with
+    probability at most alpha.  Budgets with k > sims, that is
+    alpha (sims + 1) < 1, are rejected.
     """
     k = _rank(alpha, m_eff, n_eff, sims, removed)
     draw = _null_draw(rng, m_eff + n_eff + sum(removed), sims)
@@ -366,16 +364,13 @@ def _word_sups(flags, m_eff: int, n_eff: int):
     read as little-endian words of 8 flags; times 0x0101010101010101, byte
     j of a word holds the ones among its flags 0..j, the top byte its total
     t, and the cumulative totals V_end = V at each word's last z.  The
-    statistics there give a row lower bound.  A word whose z run over
-    z0 + 1..z0 + 8 has V[z] <= V_end, and V[z] <= V_end - (zt - z) below
-    zt = z0 + max(t, 1), one one per step at most.  The mean line
-    mu[z] = fl(z m_eff/N) is increasing, and mu[zt] - mu[z] <= zt - z: the
-    step m_eff/N is at most 1 - 1/N, and for N < 2**25 the roundings of
-    mu, 2**-53 N at most, are far below 1/N.  Subtraction and division
-    round monotonically, so every double (V[z] - mu[z]) / w(z) of the word
-    is at most U = max(V_end - mu[zt], 0) / min(w).  Only the words with U
-    above the row's lower bound are evaluated.  z = N and the padding to a
-    whole word have mean +inf and statistic -inf.
+    statistics there give a row lower bound.  In the word over
+    z0 + 1..z0 + 8, every double is at most U = max(V_end - mu[zt], 0) / min(w)
+    with zt = z0 + max(t, 1), and only the words with U above the row's
+    lower bound are evaluated.  The bound needs N < 2**25, where the mean line
+    mu[z] = fl(z m_eff/N) keeps mu[zt] - mu[z] <= zt - z; README.md, Notes,
+    "One statistic decides a candidate", has the proof.  z = N and the
+    padding to a whole word have mean +inf and statistic -inf.
     """
     N = m_eff + n_eff
     words = -(-N // 8)
@@ -453,13 +448,9 @@ def band_constant(
     constant completes the key's record of null sup statistics, which
     `exceeds_band` may have begun, and is the same object on every call.
 
-    The fallback constant is floored at the guard-boundary analytic
-    threshold beta(alpha, 8).  Without the floor the envelope family would
-    tighten abruptly when the effective size drops under the guard, making
-    the violation indicator non-monotone in the TV candidate (admissible
-    candidates followed by violated larger ones), which is exactly the
-    structure the adaptive bisection must exclude.  Flooring only ever
-    widens the band, so validity is untouched.  The fallback raises its
+    The fallback constant is floored at the analytic threshold
+    beta(alpha, 8) at the guard boundary (README.md, Notes, "The analytic
+    fallback is floored at beta(alpha, 8)").  The fallback raises its
     budget to ceil(1/alpha) simulations where sims could not resolve alpha.
     """
     return _band_record(alpha, m_eff, n_eff, kind, sims, seed, removed).constant()
@@ -499,12 +490,10 @@ def _band_record(alpha, m_eff, n_eff, kind, sims, seed, removed):
 class _BandRecord:
     """One band key's constant, or the null sup statistics computed toward it.
 
-    A simulated constant c = T_(k) is the k-th smallest of `sims` null sup
-    statistics, so t > c exactly when at least k of them lie below t, and
-    t <= c exactly when sims + 1 - k of them reach t: any subset of the
-    statistics that holds either count settles the verdict.  The first
-    query cuts the stored null draw chunk by chunk, in draw order, until
-    one count is reached, and keeps the statistics (at most `sims` floats).
+    The first query cuts the stored null draw chunk by chunk, in draw
+    order, until the kept statistics settle its verdict (`_verdict`; the
+    stop rule is argued in README.md, Notes, "A verdict reads as few null
+    rows as the rank rule needs"), and keeps them (at most `sims` floats).
     A later query answers from them when they settle it, and otherwise
     cuts the remaining chunks and completes the record: then c is known,
     the statistics are dropped and every query is one comparison, without

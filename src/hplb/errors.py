@@ -15,7 +15,3 @@ class BandDomainError(ValueError):
 
 class DatasetError(ValueError):
     """An input file does not match its declared schema."""
-
-
-class InternalError(RuntimeError):
-    """A should-never-happen state; maps to CLI exit code 3."""

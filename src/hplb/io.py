@@ -4,19 +4,25 @@ Three input schemas, all CSV with a mandatory header row:
 
 * two-sample : columns (score, label) with label in {0, 1};
 * ordered    : columns (t, score) for split scanning;
-* multiclass : columns (label, p_1, ..., p_K) with label in {0, ..., K-1}
-               and each probability row summing to 1 within 1e-6.
+* multiclass : columns (label, p_1, ..., p_K) with label in {0, ..., K-1},
+               each probability in [0, 1] and each row summing to 1
+               within 1e-6.
 
-Emission writes UTF-8, LF line endings, '.' decimals, and fixed 6-decimal
-estimator values, so outputs are byte-identical across runs with the same
-seed.  Column orders are documented in the README and frozen here.
+No numeric field may be NaN; a bad field is reported with its row number.
+
+Every emitter builds its CSV rows and its JSON payload and hands both to
+one writer, `_emit`.  It writes UTF-8, LF line endings, '.' decimals, and
+fixed 6-decimal estimator values, so outputs are byte-identical across runs
+with the same seed.  Column orders are documented in the README and frozen
+here.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,6 +39,7 @@ __all__ = [
     "emit_powergrid",
     "emit_scan",
     "emit_pairwise",
+    "emit_level",
     "write_text",
 ]
 
@@ -54,6 +61,17 @@ def _header(rows, expected, path):
         raise DatasetError(f"{path}: expected header {expected}, got {got}")
 
 
+def _number(path, i, what, text) -> float:
+    """`text` as a float, or a DatasetError naming row `i` when it is not a number or is NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise DatasetError(f"{path}: row {i}: {what} {text!r} is not a number")
+    return value
+
+
 def parse_two_sample(path, tie_seed: int = 0) -> LabeledScores:
     rows = _read_rows(path)
     _header(rows, ["score", "label"], path)
@@ -61,10 +79,7 @@ def parse_two_sample(path, tie_seed: int = 0) -> LabeledScores:
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise DatasetError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
-        try:
-            scores.append(float(row[0]))
-        except ValueError:
-            raise DatasetError(f"{path}: row {i}: score {row[0]!r} is not a number") from None
+        scores.append(_number(path, i, "score", row[0]))
         if row[1].strip() not in ("0", "1"):
             raise DatasetError(f"{path}: row {i}: label {row[1]!r} is not 0 or 1")
         labels.append(int(row[1]))
@@ -83,11 +98,8 @@ def parse_ordered(path):
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise DatasetError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
-        try:
-            t.append(float(row[0]))
-            s.append(float(row[1]))
-        except ValueError:
-            raise DatasetError(f"{path}: row {i}: non-numeric field") from None
+        t.append(_number(path, i, "t", row[0]))
+        s.append(_number(path, i, "score", row[1]))
     if not t:
         raise DatasetError(f"{path}: no data rows")
     return np.asarray(t), np.asarray(s)
@@ -109,10 +121,9 @@ def parse_multiclass(path):
             raise DatasetError(f"{path}: row {i}: label {row[0]!r} is not an integer") from None
         if not (0 <= lab < K):
             raise DatasetError(f"{path}: row {i}: label {lab} outside 0..{K - 1}")
-        try:
-            p = [float(v) for v in row[1:]]
-        except ValueError:
-            raise DatasetError(f"{path}: row {i}: non-numeric probability") from None
+        p = [_number(path, i, "probability", v) for v in row[1:]]
+        if not all(0.0 <= v <= 1.0 for v in p):
+            raise DatasetError(f"{path}: row {i}: probabilities {p} leave [0, 1]")
         if abs(sum(p) - 1.0) > 1e-6:
             raise DatasetError(f"{path}: row {i}: probabilities sum to {sum(p)}, not 1")
         labels.append(lab)
@@ -139,98 +150,61 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _emit(fmt: str, path, header: str, rows, payload) -> None:
+    """Write `header` and `rows` as CSV lines, or `payload` as one line of sorted-key JSON.
+
+    A None field in a row is written as an empty CSV field.
+    """
+    if fmt == "csv":
+        lines = [header] + [",".join("" if v is None else str(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    write_text(path, text)
+
+
 def emit_result(result: HPLBResult, fmt: str, path=None) -> None:
     """HPLB CSV columns: method, alpha, value, band, argmax_z, evaluations."""
     d = result.diagnostics
-    if fmt == "csv":
-        buf = _io.StringIO()
-        buf.write("method,alpha,value,band,argmax_z,evaluations\n")
-        buf.write(
-            ",".join(
-                [
-                    result.method,
-                    _f6(result.alpha),
-                    _f6(result.value),
-                    (d.band_kind if d and d.band_kind else ""),
-                    (str(d.argmax_z) if d and d.argmax_z is not None else ""),
-                    (str(d.evaluations) if d else ""),
-                ]
-            )
-            + "\n"
-        )
-        write_text(path, buf.getvalue())
-    else:
-        payload = {
-            "method": result.method,
-            "alpha": result.alpha,
-            "value": result.value,
-            "diagnostics": None
-            if d is None
-            else {"argmax_z": d.argmax_z, "evaluations": d.evaluations, "band_kind": d.band_kind},
-        }
-        write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    row = [result.method, _f6(result.alpha), _f6(result.value)]
+    row += [None] * 3 if d is None else [d.band_kind, d.argmax_z, d.evaluations]
+    payload = {"method": result.method, "alpha": result.alpha, "value": result.value,
+               "diagnostics": None if d is None else asdict(d)}
+    _emit(fmt, path, "method,alpha,value,band,argmax_z,evaluations", [row], payload)
 
 
 def emit_powergrid(result: PowerGridResult, fmt: str, path=None) -> None:
     """Power-grid CSV columns: gamma, N, freq, mean_lambda (one row per cell)."""
-    if fmt == "csv":
-        buf = _io.StringIO()
-        buf.write("gamma,N,freq,mean_lambda\n")
-        for g, N in result.cells():
-            buf.write(f"{g:g},{N},{_f6(result.freq[(g, N)])},{_f6(result.mean_lambda[(g, N)])}\n")
-        write_text(path, buf.getvalue())
-    else:
-        payload = {
-            "example_id": result.example_id,
-            "method": result.method,
-            "gammas": list(result.gammas),
-            "ns": list(result.ns),
-            "reps": result.reps,
-            "epsilon": result.epsilon,
-            "alpha": result.alpha,
-            "c": result.c,
-            "slope": result.slope,
-            "cells": [
-                {
-                    "gamma": g,
-                    "n": N,
-                    "freq": result.freq[(g, N)],
-                    "mean_lambda": result.mean_lambda[(g, N)],
-                }
-                for g, N in result.cells()
-            ],
-        }
-        write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    cells = [(g, N, result.freq[(g, N)], result.mean_lambda[(g, N)]) for g, N in result.cells()]
+    rows = [(f"{g:g}", N, _f6(freq), _f6(mean)) for g, N, freq, mean in cells]
+    fields = ("example_id", "method", "reps", "epsilon", "alpha", "c", "slope")
+    payload = {name: getattr(result, name) for name in fields}
+    payload.update(gammas=list(result.gammas), ns=list(result.ns), cells=[
+        {"gamma": g, "n": N, "freq": freq, "mean_lambda": mean} for g, N, freq, mean in cells
+    ])
+    _emit(fmt, path, "gamma,N,freq,mean_lambda", rows, payload)
 
 
 def emit_scan(result: SplitScanResult, fmt: str, path=None) -> None:
     """Scan CSV columns: split, value, m, n, skipped (empty value when skipped)."""
-    if fmt == "csv":
-        buf = _io.StringIO()
-        buf.write("split,value,m,n,skipped\n")
-        for s, b, (m, n) in zip(result.splits, result.bounds, result.m_n):
-            val = _f6(b.value) if b is not None else ""
-            buf.write(f"{s:g},{val},{m},{n},{0 if b is not None else 1}\n")
-        write_text(path, buf.getvalue())
-    else:
-        payload = {
-            "splits": list(result.splits),
-            "bounds": [None if b is None else b.value for b in result.bounds],
-            "m_n": [list(x) for x in result.m_n],
-            "skipped": list(result.skipped),
-        }
-        write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    values = [None if b is None else b.value for b in result.bounds]
+    rows = [(f"{s:g}", None if v is None else _f6(v), m, n, int(v is None))
+            for s, v, (m, n) in zip(result.splits, values, result.m_n)]
+    payload = {"splits": list(result.splits), "bounds": values,
+               "m_n": [list(x) for x in result.m_n], "skipped": list(result.skipped)}
+    _emit(fmt, path, "split,value,m,n,skipped", rows, payload)
 
 
 def emit_pairwise(matrix: np.ndarray, fmt: str, path=None) -> None:
     """Pairwise CSV columns: i, j, value for i < j plus the full matrix in JSON."""
-    if fmt == "csv":
-        buf = _io.StringIO()
-        buf.write("i,j,value\n")
-        K = matrix.shape[0]
-        for i in range(K):
-            for j in range(i + 1, K):
-                buf.write(f"{i},{j},{_f6(matrix[i, j])}\n")
-        write_text(path, buf.getvalue())
-    else:
-        write_text(path, json.dumps({"matrix": matrix.tolist()}, sort_keys=True) + "\n")
+    K = matrix.shape[0]
+    rows = [(i, j, _f6(matrix[i, j])) for i in range(K) for j in range(i + 1, K)]
+    _emit(fmt, path, "i,j,value", rows, {"matrix": matrix.tolist()})
+
+
+def emit_level(method: str, alpha: float, reps: int, exceedance: float, fmt: str,
+               path=None) -> None:
+    """Level CSV columns: method, alpha, reps, exceedance."""
+    payload = {"method": method, "alpha": alpha, "reps": reps, "exceedance": exceedance}
+    row = [method, _f6(alpha), reps, _f6(exceedance)]
+    _emit(fmt, path, "method,alpha,reps,exceedance", [row], payload)

@@ -1,4 +1,4 @@
-"""Analytic distribution pairs: exact TV, witness decomposition, projections.
+"""Analytic distribution pairs: exact TV, witness decomposition, the Bayes projection.
 
 A MixtureModel holds two densities (P, Q) built from piecewise-uniform
 blocks, Gaussians, finite mixtures, and products of these.  Everything a
@@ -10,8 +10,8 @@ simulation study needs is available in closed or quadrature form:
                     where H_P ~ (f-g)+/lambda carries the mass unique to P;
 * sample_with_witness - draws from P or Q together with the latent flag
                     marking draws from the unique component;
-* bayes_projection / regression_projection / mmd_projection - the score
-                    functions used to reduce observations to one dimension;
+* bayes_projection - the oracle posterior score g/(f + g) that reduces
+                    observations to one dimension;
 * bounding_operation - the witness alignment sweep that dominates a
                     counting path by a pinned-ends process with an exactly
                     hypergeometric middle segment.
@@ -41,8 +41,6 @@ __all__ = [
     "decompose",
     "sample_with_witness",
     "bayes_projection",
-    "regression_projection",
-    "mmd_projection",
     "bounding_operation",
     "score_cdf",
     "accuracy_true",
@@ -498,54 +496,19 @@ def sample_with_witness(model: MixtureModel, source: str, count: int, rng: RngSt
 # projections
 
 
-def bayes_projection(model: MixtureModel, z, s: float | None = None):
+def bayes_projection(model: MixtureModel, z):
     """Posterior probability of the second sample, g/(f + g).
 
-    With a prior weight s on the first sample the s-weighted form
-    (1 - s) g / (s f + (1 - s) g) is returned.  Where f + g = 0 the value
-    is 1/2 by convention (immaterial under either law).
+    Where f + g = 0 the value is 1/2 by convention (immaterial under either
+    law).
     """
     f = np.asarray(model.p.pdf(z), dtype=float)
     g = np.asarray(model.q.pdf(z), dtype=float)
-    if s is None:
-        num, den = g, f + g
-    else:
-        if not (0.0 <= s <= 1.0):
-            raise ParameterError("prior weight must lie in [0, 1]")
-        num, den = (1.0 - s) * g, s * f + (1.0 - s) * g
-    out = np.full(np.broadcast(num, den).shape, 0.5)
+    den = f + g
+    out = np.full(den.shape, 0.5)
     pos = den > 0
-    out[pos] = num[pos] / den[pos]
+    out[pos] = g[pos] / den[pos]
     return float(out) if out.ndim == 0 else out
-
-
-def regression_projection(model: MixtureModel, s_star: float, z):
-    """Conditional-mean index under a single change point: (s* + rho_{1,s*}(z)) / 2."""
-    rho = bayes_projection(model, z, s=s_star)
-    return 0.5 * (s_star + rho)
-
-
-def mmd_projection(x_sample, y_sample, bandwidth: float, z):
-    """Kernel mean difference  mean_j k(y_j, z) - mean_i k(x_i, z).
-
-    Gaussian kernel k(u, v) = exp(-||u - v||^2 / (2 bandwidth^2)).
-    """
-    if bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
-    x = np.atleast_2d(np.asarray(x_sample, dtype=float).T).T
-    y = np.atleast_2d(np.asarray(y_sample, dtype=float).T).T
-    if x.size == 0 or y.size == 0:
-        raise ParameterError("samples must be nonempty")
-    zz = np.asarray(z, dtype=float)
-    scalar = zz.ndim == 0 or (zz.ndim == 1 and x.shape[1] > 1)
-    pts = np.atleast_2d(zz) if x.shape[1] > 1 else np.atleast_1d(zz)[:, None]
-
-    def mean_kernel(sample):
-        d2 = ((pts[:, None, :] - sample[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-d2 / (2.0 * bandwidth ** 2)).mean(axis=1)
-
-    out = mean_kernel(y) - mean_kernel(x)
-    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

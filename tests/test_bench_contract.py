@@ -5,9 +5,12 @@
 A refactor that moves one of these names, or an estimator whose value
 fails the probe's check, would break `--trace 1` or the estimate probe only
 when the benchmark runs; these checks catch it in the test suite.  They
-read bench/ and change nothing there.
+read bench/ and change nothing there.  The last check holds the package to
+its public surface: a name in a module's `__all__` needs a use in src/,
+demos/ or bench/, or a stated reason to stay.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -110,3 +113,58 @@ def test_adaptive_value_passes_the_estimate_probe_check(kind):
             positive += 1
             assert bounding.is_violated(path, np.nextafter(value, 0.0), spec)[0]
     assert positive >= 4
+
+
+# Public names that nothing in src/, demos/ or bench/ uses, each kept for a
+# stated reason.  Every other public name must have a use there: the north
+# star allows no library code that only tests call.
+_TEST_ONLY_PUBLIC = {
+    "q_bound": "the pointwise reference for is_violated; a strict xfail uses it",
+    "bounding_operation": "the acceptance gate checks the bounding operation",
+    "score_cdf": "the acceptance gate checks the population score CDFs",
+    "accuracy_true": "the acceptance gate checks the population accuracies",
+}
+
+
+class _Uses(ast.NodeVisitor):
+    """Names read through ast Name and Attribute nodes, except inside their own definition."""
+
+    def __init__(self):
+        self.names, self._defining = set(), []
+
+    def _definition(self, node):
+        self._defining.append(node.name)
+        self.generic_visit(node)
+        self._defining.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _use(self, name):
+        if name not in self._defining:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_public_name_has_a_use_outside_tests(tracer):
+    package = ROOT / "src" / "hplb"
+    public = set()
+    for path in package.glob("*.py"):
+        module = "hplb" if path.stem == "__init__" else f"hplb.{path.stem}"
+        public.update(getattr(importlib.import_module(module), "__all__", ()))
+    uses = _Uses()
+    for directory in (package, ROOT / "demos", BENCH):
+        for path in directory.glob("*.py"):
+            uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+    called = {part for _, site, _ in tracer.CALL_SITES for part in site.split(".")}
+    unused = public - uses.names - called
+    allowed = set(_TEST_ONLY_PUBLIC)
+    assert "lambda_adapt" in public and "lambda_adapt" in uses.names
+    assert not allowed - public, f"no longer public: {sorted(allowed - public)}"
+    assert not unused - allowed, f"public names only tests use: {sorted(unused - allowed)}"
+    assert not allowed - unused, f"allowlisted but used, drop them: {sorted(allowed - unused)}"

@@ -43,6 +43,11 @@ class TestTwoSample:
         with pytest.raises(DatasetError, match="nonempty"):
             hio.parse_two_sample(path)
 
+    def test_nan_score_names_row(self, tmp_path):
+        path = write(tmp_path, "d.csv", "score,label\n0.1,0\nnan,1\n0.9,1\n")
+        with pytest.raises(DatasetError, match="row 3"):
+            hio.parse_two_sample(path)
+
 
 class TestMulticlass:
     def test_probabilities_must_sum_to_one(self, tmp_path):
@@ -69,6 +74,17 @@ class TestMulticlass:
         with pytest.raises(DatasetError, match="row 2"):
             hio.parse_multiclass(path)
 
+    def test_nan_probability_names_row(self, tmp_path):
+        path = write(tmp_path, "m.csv", "label,p_1,p_2\n0,0.5,0.5\n1,nan,0.5\n")
+        with pytest.raises(DatasetError, match="row 3"):
+            hio.parse_multiclass(path)
+
+    def test_probability_outside_unit_interval_names_row(self, tmp_path):
+        # the row sums to 1, but a probability cannot be negative
+        path = write(tmp_path, "m.csv", "label,p_1,p_2\n0,0.5,0.5\n1,-0.5,1.5\n")
+        with pytest.raises(DatasetError, match="row 3"):
+            hio.parse_multiclass(path)
+
 
 class TestOrdered:
     def test_parse(self, tmp_path):
@@ -76,6 +92,17 @@ class TestOrdered:
         t, s = hio.parse_ordered(path)
         assert t.tolist() == [0.1, 0.9]
         assert s.tolist() == [0.5, 0.25]
+
+    def test_nan_t_names_row(self, tmp_path):
+        # every split would count a NaN t on its left
+        path = write(tmp_path, "o.csv", "t,score\n0.1,0.5\n0.2,0.4\nnan,0.3\n0.9,0.25\n")
+        with pytest.raises(DatasetError, match="row 4"):
+            hio.parse_ordered(path)
+
+    def test_nan_score_names_row(self, tmp_path):
+        path = write(tmp_path, "o.csv", "t,score\n0.1,nan\n0.9,0.25\n")
+        with pytest.raises(DatasetError, match="row 2"):
+            hio.parse_ordered(path)
 
 
 class TestEmission:
@@ -177,3 +204,96 @@ class TestRepoDatasets:
         labels, probs = hio.parse_multiclass("data/multiclass_three.csv")
         assert probs.shape[1] == 3
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+# Inputs of the golden-bytes checks below.  Their expected texts pin every
+# emitter's output exactly, in both formats.
+_DIAG = Diagnostics(argmax_z=12, evaluations=3, band_kind="simulated")
+_RESULTS = {
+    "diagnostics": HPLBResult(0.6177573186, "adapt", 0.05, _DIAG),
+    "plain": HPLBResult(0.25, "bayes", 0.1),
+    "no_argmax": HPLBResult(0.0, "adapt", 0.05, Diagnostics(None, 1, "analytic")),
+}
+_GRID = PowerGridResult(
+    example_id=1, method="c", gammas=(-0.2, -0.35), ns=(500, 1000), reps=20, epsilon=1.0,
+    alpha=0.05, c=2.5,
+    freq={(-0.2, 500): 0.1, (-0.2, 1000): 0.35, (-0.35, 500): 0.6, (-0.35, 1000): 1.0},
+    mean_lambda={(-0.2, 500): 0.0123456789, (-0.2, 1000): 0.02, (-0.35, 500): 0.125,
+                 (-0.35, 1000): 0.3},
+    slope=-0.5,
+)
+_SCANS = {
+    "skipped": SplitScanResult(
+        splits=(0.05, 0.5, 0.75),
+        bounds=(None, HPLBResult(0.1875, "adapt", 0.05, _DIAG), HPLBResult(0.0, "adapt", 0.05)),
+        m_n=((0, 8), (4, 4), (6, 2)),
+        skipped=("split 0.05: left side is empty",),
+    ),
+    "empty": SplitScanResult(splits=(), bounds=(), m_n=(), skipped=()),
+}
+_MATRIX = np.array([[0.0, 0.25, 0.5], [0.25, 0.0, 0.1234567], [0.5, 0.1234567, 0.0]])
+
+_GOLDEN = [
+    ("emit_result", _RESULTS["diagnostics"], "csv",
+     "method,alpha,value,band,argmax_z,evaluations\nadapt,0.050000,0.617757,simulated,12,3\n"),
+    ("emit_result", _RESULTS["diagnostics"], "json",
+     '{"alpha": 0.05, "diagnostics": {"argmax_z": 12, "band_kind": "simulated", '
+     '"evaluations": 3}, "method": "adapt", "value": 0.6177573186}\n'),
+    ("emit_result", _RESULTS["plain"], "csv",
+     "method,alpha,value,band,argmax_z,evaluations\nbayes,0.100000,0.250000,,,\n"),
+    ("emit_result", _RESULTS["plain"], "json",
+     '{"alpha": 0.1, "diagnostics": null, "method": "bayes", "value": 0.25}\n'),
+    ("emit_result", _RESULTS["no_argmax"], "csv",
+     "method,alpha,value,band,argmax_z,evaluations\nadapt,0.050000,0.000000,analytic,,1\n"),
+    ("emit_result", _RESULTS["no_argmax"], "json",
+     '{"alpha": 0.05, "diagnostics": {"argmax_z": null, "band_kind": "analytic", '
+     '"evaluations": 1}, "method": "adapt", "value": 0.0}\n'),
+    ("emit_powergrid", _GRID, "csv",
+     "gamma,N,freq,mean_lambda\n-0.2,500,0.100000,0.012346\n-0.2,1000,0.350000,0.020000\n"
+     "-0.35,500,0.600000,0.125000\n-0.35,1000,1.000000,0.300000\n"),
+    ("emit_powergrid", _GRID, "json",
+     '{"alpha": 0.05, "c": 2.5, "cells": [{"freq": 0.1, "gamma": -0.2, "mean_lambda": '
+     '0.0123456789, "n": 500}, {"freq": 0.35, "gamma": -0.2, "mean_lambda": 0.02, "n": 1000}, '
+     '{"freq": 0.6, "gamma": -0.35, "mean_lambda": 0.125, "n": 500}, {"freq": 1.0, "gamma": '
+     '-0.35, "mean_lambda": 0.3, "n": 1000}], "epsilon": 1.0, "example_id": 1, "gammas": '
+     '[-0.2, -0.35], "method": "c", "ns": [500, 1000], "reps": 20, "slope": -0.5}\n'),
+    ("emit_scan", _SCANS["skipped"], "csv",
+     "split,value,m,n,skipped\n0.05,,0,8,1\n0.5,0.187500,4,4,0\n0.75,0.000000,6,2,0\n"),
+    ("emit_scan", _SCANS["skipped"], "json",
+     '{"bounds": [null, 0.1875, 0.0], "m_n": [[0, 8], [4, 4], [6, 2]], '
+     '"skipped": ["split 0.05: left side is empty"], "splits": [0.05, 0.5, 0.75]}\n'),
+    ("emit_scan", _SCANS["empty"], "csv", "split,value,m,n,skipped\n"),
+    ("emit_scan", _SCANS["empty"], "json",
+     '{"bounds": [], "m_n": [], "skipped": [], "splits": []}\n'),
+    ("emit_pairwise", _MATRIX, "csv",
+     "i,j,value\n0,1,0.250000\n0,2,0.500000\n1,2,0.123457\n"),
+    ("emit_pairwise", _MATRIX, "json",
+     '{"matrix": [[0.0, 0.25, 0.5], [0.25, 0.0, 0.1234567], [0.5, 0.1234567, 0.0]]}\n'),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("emitter,obj,fmt,expected", _GOLDEN)
+    def test_emitter_bytes(self, tmp_path, emitter, obj, fmt, expected):
+        out = tmp_path / "out"
+        getattr(hio, emitter)(obj, fmt, out)
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("emitter,obj,fmt,expected", _GOLDEN[:2])
+    def test_stdout_matches_file(self, capsys, emitter, obj, fmt, expected):
+        getattr(hio, emitter)(obj, fmt)
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("csv", "method,alpha,reps,exceedance\nc,0.100000,80,0.037500\n"),
+        ("json", '{"alpha": 0.1, "exceedance": 0.0375, "method": "c", "reps": 80}\n'),
+    ])
+    def test_level_bytes(self, tmp_path, monkeypatch, fmt, expected):
+        from hplb import cli
+
+        monkeypatch.setattr(cli, "run_level_study", lambda *args, **kwargs: 0.0375)
+        out = tmp_path / "level"
+        argv = ["level", "--example", "toy", "--n", "40", "--method", "c", "--reps", "80",
+                "--alpha", "0.1", "--format", fmt, "--output", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == expected.encode("utf-8")

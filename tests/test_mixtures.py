@@ -22,8 +22,6 @@ from hplb import (
     bounding_operation,
     build_counting_path,
     decompose,
-    mmd_projection,
-    regression_projection,
     sample_with_witness,
     sigma_true,
     tv_exact,
@@ -190,39 +188,6 @@ class TestProjections:
 
     def test_outside_both_supports_convention(self):
         assert bayes_projection(example0_model(0.7), 5.0) == 0.5
-
-    def test_weighted_variant(self):
-        model = example0_model(0.7)
-        z = 0.5
-        f = model.p.pdf(np.array([z]))[0]
-        g = model.q.pdf(np.array([z]))[0]
-        s = 0.3
-        expected = (1 - s) * g / (s * f + (1 - s) * g)
-        assert abs(bayes_projection(model, z, s=s) - expected) <= 1e-12
-
-    def test_regression_fixed_point(self):
-        # rho_{1,s*} = s* maps to s*
-        model = MixtureModel(U_POS, U_POS)
-        assert regression_projection(model, 0.5, 0.3) == 0.5
-
-    def test_regression_frozen_example(self):
-        # s* = 0.5, posterior 0.7 at z = 0.5 -> (0.5 + 0.7)/2 = 0.6
-        got = regression_projection(example0_model(0.7), 0.5, 0.5)
-        assert abs(got - 0.6) <= 1e-12
-
-    def test_mmd_identical_samples(self):
-        x = np.array([0.0, 1.0, 2.0])
-        assert mmd_projection(x, x, 1.0, 0.7) == 0.0
-
-    def test_mmd_frozen_value(self):
-        got = mmd_projection(np.array([0.0]), np.array([1.0]), 1.0, 1.0)
-        assert abs(got - (1.0 - math.exp(-0.5))) <= 1e-12
-
-    def test_mmd_antisymmetry(self):
-        x = np.array([0.0, 0.3])
-        y = np.array([1.0, 1.4])
-        zs = np.linspace(-1, 2, 7)
-        assert np.allclose(mmd_projection(x, y, 0.8, zs), -mmd_projection(y, x, 0.8, zs))
 
 
 class TestProjectionContraction:
