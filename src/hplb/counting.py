@@ -83,7 +83,7 @@ class LabeledScores:
         labels = np.asarray(self.labels)
         if scores.ndim != 1 or labels.ndim != 1 or len(scores) != len(labels):
             raise ParameterError("scores and labels must be 1-D arrays of equal length")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ParameterError("labels must be 0 or 1")
         if np.isnan(scores).any():
             raise ParameterError("scores must not contain NaN")
@@ -138,25 +138,54 @@ def build_counting_path(data: LabeledScores) -> CountingPath:
 
     Ties are broken by a uniform random permutation within each tied block
     (seeded by `data.tie_seed`), which preserves exchangeability under the
-    null and hence the hypergeometric law of V.
+    null and hence the hypergeometric law of V.  The order is that of
+    `np.lexsort((u, scores))` for uniform keys u, computed by two cheaper
+    sorts wherever they give it (README.md, Notes, "The tie-break order is
+    lexsort's").
     """
     rng = RngStream(data.tie_seed, 0, ("tie-break",))
-    u = rng.random(len(data.scores))
-    order = np.lexsort((u, data.scores))
+    order = _tie_break_order(data.scores, rng.random(len(data.scores)))
     v = np.cumsum(data.labels[order] == 0, dtype=np.int64)[:-1]
     return CountingPath(v=v, m=data.m, n=data.n)
+
+
+def _tie_break_order(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.lexsort((u, scores))`.
+
+    Up to 2**15 ids with no two equal u: an argsort of u, then a stable
+    argsort (a radix sort) of the int16 score ranks in that order, equal
+    doubles sharing one rank.
+    """
+    N = len(scores)
+    if N > 1 << 15:
+        return np.lexsort((u, scores))
+    by_u = np.argsort(u)
+    if (np.diff(u[by_u]) == 0).any():  # an exact tie in u
+        return np.lexsort((u, scores))
+    by_score = np.argsort(scores)
+    sorted_scores = scores[by_score]
+    new_value = np.concatenate(([False], sorted_scores[1:] != sorted_scores[:-1]))
+    ranks = np.empty(N, dtype=np.int16)
+    ranks[by_score] = np.cumsum(new_value, dtype=np.int16)
+    return by_u[np.argsort(ranks[by_u], kind="stable")]
 
 
 def w_scale(z, m: int, n: int):
     """Hypergeometric standard deviation sqrt((m/N)(n/N)((N-z)/(N-1)) z).
 
-    Accepts scalar or vector z; zero at z = 0 and z = N.
+    Accepts scalar or vector z; zero at z = 0 and z = N.  It is computed
+    in one buffer, one operation of the formula at a time, so the doubles
+    are those of the formula's expression.
     """
     N = m + n
     if N < 2:
         raise ParameterError("need m + n >= 2")
     z = np.asarray(z, dtype=float)
-    out = np.sqrt((m / N) * (n / N) * ((N - z) / (N - 1)) * z)
+    out = np.subtract(N, z, out=np.empty_like(z))
+    out /= N - 1
+    out *= (m / N) * (n / N)
+    out *= z
+    np.sqrt(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -207,7 +236,7 @@ class BandConstant:
 def _mean_and_scale(m_eff: int, n_eff: int):
     """The null mean line z m_eff/N_eff and the scale w(z, m_eff, n_eff), z = 1..N_eff-1."""
     N_eff = m_eff + n_eff
-    z = np.arange(1, N_eff)
+    z = np.arange(1.0, N_eff)
     return z * (m_eff / N_eff), w_scale(z, m_eff, n_eff)
 
 

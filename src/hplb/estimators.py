@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounding import BoundSpec, effective_sizes, is_violated
+from .bounding import BoundSpec, is_violated
 from .counting import CountingPath, LabeledScores, build_counting_path
-from .distributions import normal_quantile
+from .distributions import _binom_quantile, normal_quantile
 from .errors import ParameterError
 
 __all__ = [
@@ -168,10 +168,12 @@ def lambda_adapt(data: LabeledScores, spec: BoundSpec | None = None) -> HPLBResu
 def adapt_from_path(path: CountingPath, spec: BoundSpec) -> HPLBResult:
     """lambda_adapt on a prebuilt counting path."""
     verdicts = {}  # (q_m, q_n) -> is_violated at a candidate with those quantiles
+    level = 1.0 - spec.alpha / 3.0
 
     def verdict(lam: float):
-        sizes = effective_sizes(lam, path.m, path.n, spec)
-        key = (sizes.q_m, sizes.q_n)
+        # the (q_m, q_n) of `effective_sizes`, read from the quantile memo;
+        # every lam here lies in [0, 1), and the memo maps p = 0 to 0
+        key = (_binom_quantile(level, lam, path.m), _binom_quantile(level, lam, path.n))
         if key not in verdicts:
             verdicts[key] = is_violated(path, lam, spec)
         return verdicts[key]

@@ -298,6 +298,8 @@ def run_power_grid(
     """Detection frequency of {lambda_hat > (1 - epsilon) TV} over a (gamma, N) grid."""
     if not gammas or not ns:
         raise ParameterError("grids must be nonempty")
+    if reps < 1:
+        raise ParameterError(f"need at least 1 replication per cell, got reps={reps}")
     if not (0.0 < epsilon <= 1.0):
         raise ParameterError("epsilon must lie in (0, 1]")
     if example not in (1, 2):

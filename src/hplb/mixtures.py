@@ -74,16 +74,15 @@ class PiecewiseUniform:
         self.breaks = breaks
         self.heights = heights
         self._cum = np.concatenate([[0.0], np.cumsum(heights * np.diff(breaks))])
+        # cell k + 1 of the padded heights is cell k; the outer ones are zero.
+        # The last edge is moved up one double so that x = breaks[-1], the
+        # right edge, falls in the last cell.
+        self._padded = np.concatenate([[0.0], heights, [0.0]])
+        self._edges = np.append(breaks[:-1], np.nextafter(breaks[-1], np.inf))
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breaks, x, side="right") - 1
-        inside = (idx >= 0) & (idx < len(self.heights))
-        out = np.zeros_like(x, dtype=float)
-        out[inside] = self.heights[idx[inside]]
-        # right edge belongs to the last cell
-        out[x == self.breaks[-1]] = self.heights[-1]
-        return out
+        idx = np.searchsorted(self._edges, np.asarray(x, dtype=float), side="right")
+        return np.asarray(np.take(self._padded, idx))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

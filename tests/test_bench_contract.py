@@ -115,6 +115,27 @@ def test_adaptive_value_passes_the_estimate_probe_check(kind):
     assert positive >= 4
 
 
+@pytest.mark.parametrize("kind", ["analytic", "simulated"])
+def test_traced_layers_still_record_spans(tracer, kind):
+    # --trace 1 reads its per-layer metrics from these spans; a fast path
+    # that goes round a traced name would leave its metric reading 0
+    from hplb import BoundSpec, ExampleSpec, RngStream, estimators, gen_example
+
+    data, _ = gen_example(ExampleSpec(1 if kind == "analytic" else 2, 600, c=0.1), RngStream(5))
+    names = {module for module, _, _ in tracer.CALL_SITES} | {"hplb.experiments"}
+    traced = tracer.Tracer()
+    traced.install({name: importlib.import_module(name) for name in names})
+    try:
+        result = estimators.lambda_adapt(data, BoundSpec(0.05, kind, sims=300, seed=1))
+    finally:
+        traced.uninstall()
+    spans = [name for _, _, name, *_ in traced.spans]
+    assert spans.count("bounding.is_violated") == result.diagnostics.evaluations > 0
+    for name in ("counting.build_counting_path", "bounding.effective_sizes",
+                 "distributions.binom_quantile"):
+        assert name in spans, f"{name} records no span"
+
+
 # Public names that nothing in src/, demos/ or bench/ uses, each kept for a
 # stated reason.  Every other public name must have a use there: the north
 # star allows no library code that only tests call.

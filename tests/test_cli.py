@@ -80,6 +80,16 @@ def test_powergrid_csv_shape(tmp_path):
     assert len(lines) == 1 + 4
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_powergrid_without_replications_exits_2(reps):
+    # a cell without replications used to print "freq": NaN and exit 0
+    proc = run("powergrid", "--example", "1", "--method", "bayes", "--gammas=-0.3",
+               "--ns", "200", "--reps", reps, "--format", "json")
+    assert proc.returncode == 2, proc.stderr
+    assert f"reps={reps}" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_level_command(tmp_path):
     proc = run(
         "level", "--example", "1", "--n", "300", "--c", "0.2", "--method", "bayes",

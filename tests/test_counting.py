@@ -32,7 +32,43 @@ from hplb import (
 )
 
 
+# Scores that compare equal as doubles, and the infinities, in one pool.
+_SCORE_POOL = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, np.inf])
+
+
+@st.composite
+def _tie_break_inputs(draw):
+    """Scores and tie-break keys u: tied, continuous and mixed scores drawing
+    on `_SCORE_POOL`, u uniform as `build_counting_path` draws it, sometimes
+    with an exact tie in u, at sizes on both sides of 2**15 ids."""
+    N = draw(st.one_of(st.integers(1, 40), st.integers(200, 5000),
+                       st.sampled_from([(1 << 15) - 1, 1 << 15, (1 << 15) + 1, 40000])))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tied", "continuous", "mixed"]))
+    if kind == "tied":
+        scores = gen.choice(_SCORE_POOL[:draw(st.integers(1, len(_SCORE_POOL)))], N)
+    else:
+        scores = gen.normal(size=N)
+        if kind == "mixed":
+            pooled = gen.random(N) < 0.5
+            scores[pooled] = gen.choice(_SCORE_POOL, int(pooled.sum()))
+    u = gen.random(N)
+    if N > 1 and draw(st.booleans()):
+        i, j = gen.choice(N, 2, replace=False)
+        u[j] = u[i]
+        if draw(st.booleans()):
+            scores[j] = scores[i]  # a full tie, which lexsort breaks by index
+    return scores, u
+
+
 class TestBuildCountingPath:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_tie_break_inputs())
+    def test_tie_break_order_is_lexsort(self, case):
+        scores, u = case
+        got = counting._tie_break_order(scores, u)
+        assert np.array_equal(got, np.lexsort((u, scores)))
+
     def test_direct_count(self):
         data = LabeledScores(scores=np.array([0.1, 0.2, 0.3]), labels=np.array([0, 1, 0]))
         assert build_counting_path(data).v.tolist() == [1, 1]
@@ -135,6 +171,15 @@ class TestWScale:
         z = np.array([1, 5, 19])
         out = w_scale(z, 10, 10)
         assert out.shape == (3,)
+
+    def test_bit_for_bit_the_formula(self):
+        # the band grids and the null statistics rely on these exact doubles
+        for m, n in [(10, 10), (3, 997), (2000, 2000), (12345, 678)]:
+            N = m + n
+            z = np.arange(1.0, N)
+            want = np.sqrt((m / N) * (n / N) * ((N - z) / (N - 1)) * z)
+            assert np.array_equal(w_scale(z, m, n).view(np.int64), want.view(np.int64))
+            assert w_scale(7, m, n) == want[6]
 
 
 class TestBetaThreshold:
