@@ -4,7 +4,7 @@ Subcommands: estimate, simulate, level, powergrid, scan, pairwise.
 Exit codes: 0 success, 2 validation or usage error, 3 any unexpected exception.
 Option precedence: command-line flags > config file (flat key=value lines
 via --config) > built-in defaults.  Every command is deterministic given
---seed; HPLB_THREADS only caps worker counts and never changes results.
+--seed.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def _cmd_simulate(args, cfg):
     data, lam = gen_example(spec, RngStream(seed, 0, ("simulate",)))
     lines = ["score,label\n"]
     lines += [f"{float(s)!r},{int(l)}\n" for s, l in zip(data.scores, data.labels)]
-    hio.write_text(_opt(args, cfg, "output"), "".join(lines))
+    output = _opt(args, cfg, "output")
+    hio.write_text(output, "".join(lines))
     meta = {
         "example": args.example,
         "n": args.n,
@@ -208,7 +209,8 @@ def _cmd_simulate(args, cfg):
         "n_class1": data.n,
         "true_lambda": lam,
     }
-    print(json.dumps(meta, sort_keys=True))
+    # a dataset on stdout stays readable: its metadata goes to stderr
+    print(json.dumps(meta, sort_keys=True), file=sys.stdout if output else sys.stderr)
     return 0
 
 

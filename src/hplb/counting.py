@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import MEMO_SIZE, _binom_quantile, _SingleFlight
+from .distributions import MEMO_SIZE, _binom_quantile, _BoundedMemo
 from .errors import BandDomainError, ParameterError
 from .streams import RngStream
 
@@ -525,9 +524,9 @@ class _BandRecord:
     rows as the rank rule needs"), and keeps them (at most `sims` floats).
     A later query answers from them when they settle it, and otherwise
     cuts the remaining chunks and completes the record: then c is known,
-    the statistics are dropped and every query is one comparison, without
-    the lock.  A draw over `_DRAW_BUDGET` is not stored, so there the
-    first query completes the record in one pass, drawing each chunk once.
+    the statistics are dropped and every query is one comparison.  A draw
+    over `_DRAW_BUDGET` is not stored, so there the first query completes
+    the record in one pass, drawing each chunk once.
     The analytic fallback's floor beta(alpha, 8) settles t <= floor
     without any row.
     """
@@ -545,36 +544,29 @@ class _BandRecord:
         m, n = m_eff + removed[0], n_eff + removed[1]
         self._rng = RngStream(seed, 0, ("null-band", m, n, sims, round(alpha, 12)))
         self._stats, self._chunks = np.empty(0), 0  # cut so far, in draw order
-        self._lock = threading.Lock()
 
     def constant(self) -> BandConstant:
         if self.const is None:
-            with self._lock:
-                if self.const is None:
-                    self._complete()
+            self._complete()
         return self.const
 
     def exceeds(self, t: float) -> bool:
-        const = self.const
-        if const is None:
+        if self.const is None:
             if t <= self._floor:
                 return False
-            with self._lock:
-                const = self.const
-                if const is None:
-                    verdict = self._settle(t)
-                    if verdict is not None:
-                        return verdict
-                    const = self._complete()
-        return bool(t > const.c)
+            verdict = self._settle(t)
+            if verdict is not None:
+                return verdict
+            self._complete()
+        return bool(t > self.const.c)
 
     def _settle(self, t):
         """t > c if the kept statistics settle it, else None; a first query cuts until they do."""
         alpha, m_eff, n_eff, sims, removed = self._key
         if self._chunks or _over_budget(m_eff + n_eff + sum(removed), sims):
             return self._verdict(int(np.count_nonzero(self._stats < t)), len(self._stats))
-        # one buffer of sims floats: statistics kept as separate small arrays
-        # measured 5 MB more peak RSS on the two-thread power grid
+        # one buffer of sims floats, not one small array per chunk: a single
+        # allocation, which the completed record frees whole
         stats, below = np.empty(sims), 0
         for T in self._more():
             rows = len(self._stats)
@@ -615,7 +607,7 @@ class _BandRecord:
 # stream from its full sizes, so its statistics and constant are independent
 # of evaluation order.  One null draw is kept: every candidate of a sample
 # cuts the same one, and samples are bounded one after another.
-_band_records = _SingleFlight(_BandRecord, MEMO_SIZE)
-_stored_draw = _SingleFlight(
+_band_records = _BoundedMemo(_BandRecord, MEMO_SIZE)
+_stored_draw = _BoundedMemo(
     lambda identity, N, sims: tuple(_draw_rows(RngStream(*identity), N, sims)), 1
 )

@@ -12,9 +12,7 @@ accurate for every trial count.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
-from concurrent.futures import Future
 
 from scipy.special import bdtr, bdtrik, ndtri
 
@@ -28,7 +26,7 @@ __all__ = [
 ]
 
 # Entries kept by the binomial-quantile memo here and the band-record memo
-# in `counting`.  Every memo of the package is a `_SingleFlight`, and so
+# in `counting`.  Every memo of the package is a `_BoundedMemo`, and so
 # evicts its oldest entry to make room for a new one.
 MEMO_SIZE = 4096
 
@@ -36,67 +34,36 @@ _CacheInfo = namedtuple("CacheInfo", "misses maxsize currsize")
 _MISSING = object()
 
 
-class _SingleFlight:
-    """Bounded memo of `fn` whose concurrent misses on one key compute once.
+class _BoundedMemo:
+    """Memo of `fn` that keeps at most `maxsize` entries.
 
-    A hit reads the entries without the lock (a dict read is atomic).  The
-    first caller to miss a key computes it, and callers arriving meanwhile
-    wait on its future instead of computing again.  A failed computation
-    stores nothing.  The oldest entry makes room for a new one, evicted
-    when the miss starts so that a large entry is freed before its
-    successor is built.
+    A failed computation stores nothing.  The oldest entry makes room for
+    a new one, evicted when the miss starts so that a large entry is freed
+    before its successor is built.
     """
 
     def __init__(self, fn, maxsize: int):
         self._fn = fn
         self._maxsize = maxsize
         self._entries = {}
-        self._pending = {}
-        self._lock = threading.Lock()
         self._misses = 0
-
-    def _make_room(self) -> None:
-        while len(self._entries) >= self._maxsize:
-            del self._entries[next(iter(self._entries))]
 
     def __call__(self, *key):
         value = self._entries.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
-            future = self._pending.get(key)
-            owner = future is None
-            if owner:
-                self._misses += 1
-                future = self._pending[key] = Future()
-                self._make_room()
-        if not owner:
-            return future.result()
-        try:
-            value = self._fn(*key)
-        except BaseException as exc:
-            with self._lock:
-                del self._pending[key]
-            future.set_exception(exc)
-            raise
-        with self._lock:
-            del self._pending[key]
-            self._make_room()
-            self._entries[key] = value
-        future.set_result(value)
+        self._misses += 1
+        while len(self._entries) >= self._maxsize:
+            del self._entries[next(iter(self._entries))]
+        value = self._entries[key] = self._fn(*key)
         return value
 
     def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._misses, self._maxsize, len(self._entries))
+        return _CacheInfo(self._misses, self._maxsize, len(self._entries))
 
     def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._misses = 0
+        self._entries.clear()
+        self._misses = 0
 
 
 class BinomialParams:
@@ -138,7 +105,7 @@ def _compute_binom_quantile(alpha: float, p: float, m: int) -> int:
 
 # The adaptive estimator queries the same (alpha, p, m) triples many times
 # across TV candidates and replications.
-_binom_quantile = _SingleFlight(_compute_binom_quantile, MEMO_SIZE)
+_binom_quantile = _BoundedMemo(_compute_binom_quantile, MEMO_SIZE)
 
 
 def normal_quantile(alpha: float) -> float:

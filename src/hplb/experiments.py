@@ -21,8 +21,6 @@ sample size and regressing the boundary's log-TV on log N.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,30 +57,13 @@ _METHODS = ("c", "bayes", "adapt", "oracle_t")
 
 
 def worker_count(n_tasks: int) -> int:
-    """Worker cap from HPLB_THREADS (default 1 = serial)."""
-    try:
-        cap = int(os.environ.get("HPLB_THREADS", "1"))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_tasks))
+    """Always 1, since studies run serially; read only by `bench/tracer.py`."""
+    return 1
 
 
 def _map_indexed(fn, n_tasks: int):
-    """Run fn(i) for i in range(n_tasks); order-independent aggregation.
-
-    Results land in a list indexed by i, so the output is identical no
-    matter how many workers executed the tasks.
-    """
-    out = [None] * n_tasks
-    workers = worker_count(n_tasks)
-    if workers == 1:
-        for i in range(n_tasks):
-            out[i] = fn(i)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, res in zip(range(n_tasks), pool.map(fn, range(n_tasks))):
-            out[i] = res
-    return out
+    """[fn(i) for i in range(n_tasks)]; the tracer wraps it as the replication loop."""
+    return [fn(i) for i in range(n_tasks)]
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def _emit(fmt: str, path, header: str, rows, payload) -> None:
         lines = [header] + [",".join("" if v is None else str(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     write_text(path, text)
 
 
@@ -179,6 +179,8 @@ def emit_powergrid(result: PowerGridResult, fmt: str, path=None) -> None:
     rows = [(f"{g:g}", N, _f6(freq), _f6(mean)) for g, N, freq, mean in cells]
     fields = ("example_id", "method", "reps", "epsilon", "alpha", "c", "slope")
     payload = {name: getattr(result, name) for name in fields}
+    if math.isnan(result.slope):  # the 50% contour left the grid
+        payload["slope"] = None
     payload.update(gammas=list(result.gammas), ns=list(result.ns), cells=[
         {"gamma": g, "n": N, "freq": freq, "mean_lambda": mean} for g, N, freq, mean in cells
     ])

@@ -4,8 +4,8 @@ Every source of randomness in this package flows through an RngStream.
 Streams are cheap to construct and value-semantic: the same
 (root_seed, stream_id, tags) triple reproduces the same draw sequence on
 every platform, independent of how many other streams were used before.
-Parallel replications each get their own stream_id, so results do not
-depend on scheduling order.
+Each replication gets its own stream, so its draw does not depend on the
+replications run before it.
 """
 
 from __future__ import annotations

@@ -2,9 +2,6 @@
 
 import itertools
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -351,12 +348,12 @@ class TestCoupledDraw:
         assert all(np.array_equal(a, b) for a, b in zip(redraw, stored))
         counting.clear_band_cache()
 
-    def test_concurrent_misses_compute_once(self, monkeypatch):
-        # eight threads on two cores query two keys of one sample at once,
-        # each thread with its own T_obs and then for the constant: every
-        # null row of a key is cut once, the shared draw is made once, each
-        # verdict is the serial one and each key has one constant; the
-        # binomial-quantile memo is the same single-flight memo
+    def test_queries_on_live_records_cut_each_row_once(self, monkeypatch):
+        # two keys of one sample, each queried at four statistics around its
+        # constant on the record the earlier queries left, then for the
+        # constant: every null row of a key is cut once, the shared draw is
+        # made once, each verdict is the constant's and each key has one
+        # constant
         keys = [(40, 30, (3, 1)), (41, 30, (2, 1))]
 
         def constant(key):
@@ -365,57 +362,29 @@ class TestCoupledDraw:
 
         counting.clear_band_cache()
         serial = [constant(key).c for key in keys]
-        rows, draws = [], []
-        sup_statistics, draw_rows = counting._sup_statistics, counting._draw_rows
-
-        def counted_sup_statistics(chunks, m_eff, n_eff, removed):
-            for T in sup_statistics(chunks, m_eff, n_eff, removed):
-                rows.append(((m_eff, n_eff), len(T)))
-                time.sleep(0.005)
-                yield T
-
-        def counted_draw_rows(*args):
-            draws.append(args[1:])
-            time.sleep(0.05)
-            return draw_rows(*args)
-
-        monkeypatch.setattr(counting, "_sup_statistics", counted_sup_statistics)
-        monkeypatch.setattr(counting, "_draw_rows", counted_draw_rows)
+        rows = count_null_rows(monkeypatch)
+        draws = []
+        draw_rows = counting._draw_rows
+        monkeypatch.setattr(counting, "_draw_rows",
+                            lambda *args: draws.append(args[1:]) or draw_rows(*args))
         monkeypatch.setattr(counting, "_CHUNK_IDS", 74 * 20)  # ten chunks of 20 rows
         counting.clear_band_cache()
         # per key: far below, just below, at and just above its constant
         offsets = (-2.0, -1e-9, 0.0, 1e-9)
-        barrier = threading.Barrier(8)
-        verdicts, results = [None] * 8, [None] * 8
-
-        def worker(i):
-            barrier.wait(timeout=10)
+        verdicts = []
+        for i in range(8):
             m_eff, n_eff, removed = keys[i % 2]
-            distributions._binom_quantile(1 - 0.05 / 3, 0.1 * (1 + i % 2), 500)
-            verdicts[i] = counting.exceeds_band(serial[i % 2] + offsets[i // 2], 0.05 / 3,
-                                                m_eff, n_eff, "simulated", sims=200, seed=2,
-                                                removed=removed)
-            results[i] = constant(keys[i % 2])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+            verdicts.append(counting.exceeds_band(serial[i % 2] + offsets[i // 2], 0.05 / 3,
+                                                  m_eff, n_eff, "simulated", sims=200,
+                                                  seed=2, removed=removed))
+        results = [constant(keys[i % 2]) for i in range(8)]
         for m_eff, n_eff, _ in keys:
-            assert sum(r for key, r in rows if key == (m_eff, n_eff)) == 200
+            assert sum(r for m, n, r in rows if (m, n) == (m_eff, n_eff)) == 200
         assert draws == [(43 + 31, 200)]
         assert verdicts == [serial[i % 2] + offsets[i // 2] > serial[i % 2] for i in range(8)]
         assert verdicts == [False] * 6 + [True] * 2
         assert all(results[i] is results[i % 2] for i in range(8))
         assert [results[0].c, results[1].c] == serial
-        assert distributions._binom_quantile.cache_info().misses == 2
         counting.clear_band_cache()
 
     def test_failed_miss_leaves_no_entry(self):

@@ -118,3 +118,24 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -1.0, 2.0, float("nan")):
             with pytest.raises(ParameterError):
                 normal_quantile(bad)
+
+
+def test_bounded_memo_evicts_before_a_miss_computes():
+    # the one-draw memo must never hold two draws: a miss frees the oldest
+    # entry before its own value is built, and a hit computes nothing
+    from hplb.distributions import _BoundedMemo
+
+    calls, sizes = [], []
+
+    def square(x):
+        calls.append(x)
+        sizes.append(memo.cache_info().currsize)
+        return x * x
+
+    memo = _BoundedMemo(square, 1)
+    assert [memo(3), memo(3), memo(4), memo(4), memo(3)] == [9, 9, 16, 16, 9]
+    assert calls == [3, 4, 3]
+    assert sizes == [0, 0, 0]
+    assert memo.cache_info() == (3, 1, 1)
+    memo.cache_clear()
+    assert memo.cache_info() == (0, 1, 0)
