@@ -18,7 +18,7 @@ print("level check (exceedance must stay below alpha = 0.05 + MC slack):")
 for lam in (0.0, 0.2):
     spec = ExampleSpec(example_id=1, n_total=400, gamma=None, c=lam)
     for method in ("bayes", "adapt"):
-        freq = run_level_study(spec, method, 0.05, 300, RngStream(5, 0), bound)
+        freq = run_level_study(spec, method, 300, RngStream(5, 0), bound)
         print(f"  true TV {lam:.1f}  {method:6s}: exceedance {freq:.3f}")
 
 print("\nmini power grid on the two-sided contamination family:")
@@ -27,7 +27,7 @@ ns = [500, 2000, 8000]
 for method in ("adapt", "bayes"):
     grid = run_power_grid(
         example=2, method=method, gammas=gammas, ns=ns, reps=50,
-        epsilon=1.0, alpha=0.05, rng=RngStream(6, 0), bound=bound, c=2.0,
+        epsilon=1.0, rng=RngStream(6, 0), bound=bound, c=2.0,
     )
     print(f"  {method}: detection frequency by (gamma, N)")
     for g in gammas:

@@ -22,7 +22,7 @@ from .counting import (
     simulate_null_sup_quantile,
     w_scale,
 )
-from .errors import BandDomainError, DatasetError, ParameterError
+from .errors import DatasetError, ParameterError
 from .estimators import (
     AccuracyPair,
     HPLBResult,
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyPair",
     "BandConstant",
-    "BandDomainError",
     "BinomialParams",
     "BoundSpec",
     "CountingPath",

@@ -13,15 +13,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import io as hio
 from .bounding import BoundSpec
 from .errors import DatasetError, ParameterError
 from .estimators import lambda_adapt, lambda_bayes, lambda_c
 from .experiments import (
     ExampleSpec,
-    default_scale,
     gen_example,
     pairwise_matrix,
     run_level_study,
@@ -30,26 +27,12 @@ from .experiments import (
 )
 from .streams import RngStream
 
-# Every option a --config file may set: the type its flag parses to and its default.
-_OPTIONS = {
-    "alpha": (float, 0.05),
-    "band": (str, "simulated"),
-    "sims": (int, 1000),
-    "seed": (int, 0),
-    "format": (str, "csv"),
-    "output": (str, None),
-    "epsilon": (float, 1.0),
-    "reps": (int, 100),
-    "c": (float, None),
-    "pi": (float, 0.5),
-}
-_CHOICES = {"band": ("analytic", "simulated"), "format": ("csv", "json")}
+# Every key a --config file may set; each is parsed as the flag of the same name.
+_CONFIG_KEYS = ("alpha", "band", "sims", "seed", "format", "output", "epsilon", "reps", "c", "pi")
 
 
-def _load_config(path):
+def _load_config(path, flags):
     cfg = {}
-    if path is None:
-        return cfg
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -59,44 +42,32 @@ def _load_config(path):
                 if "=" not in line:
                     raise DatasetError(f"{path}: config lines must be key=value, got {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                cfg[key] = _config_value(path, key, value)
+                cfg[key] = _config_value(path, key, value, flags)
     except OSError as exc:
         raise DatasetError(f"cannot read config {path}: {exc}") from exc
     return cfg
 
 
-def _config_value(path, key, text):
+def _config_value(path, key, text, flags):
     """Parse one config entry as its command-line flag would, or name what is wrong."""
-    if key not in _OPTIONS:
-        known = ", ".join(_OPTIONS)
+    if key not in _CONFIG_KEYS:
+        known = ", ".join(_CONFIG_KEYS)
         raise DatasetError(f"{path}: unknown config key {key!r}; known keys: {known}")
-    cast = _OPTIONS[key][0]
+    flag = flags[key]
+    cast = flag.type or str
     try:
         value = cast(text)
     except ValueError:
         msg = f"{path}: config key {key!r} needs a {cast.__name__}, got {text!r}"
         raise DatasetError(msg) from None
-    if key in _CHOICES and value not in _CHOICES[key]:
-        allowed = ", ".join(_CHOICES[key])
+    if flag.choices is not None and value not in flag.choices:
+        allowed = ", ".join(flag.choices)
         raise DatasetError(f"{path}: config key {key!r} must be one of {allowed}, got {text!r}")
     return value
 
 
-def _opt(args, cfg, name):
-    """flags > config file > defaults"""
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    return cfg.get(name, _OPTIONS[name][1])
-
-
-def _bound_spec(args, cfg) -> BoundSpec:
-    return BoundSpec(
-        alpha=_opt(args, cfg, "alpha"),
-        band_kind=_opt(args, cfg, "band"),
-        sims=_opt(args, cfg, "sims"),
-        seed=_opt(args, cfg, "seed"),
-    )
+def _bound_spec(args) -> BoundSpec:
+    return BoundSpec(alpha=args.alpha, band_kind=args.band, sims=args.sims, seed=args.seed)
 
 
 def _float_list(text):
@@ -108,64 +79,74 @@ def _int_list(text):
 
 
 def _build_parser():
+    """The parser, each command's subparser by name, and the flag of each config key."""
     top = argparse.ArgumentParser(prog="hplb", description=__doc__)
     top.add_argument("--config", help="flat key=value config file")
     sub = top.add_subparsers(dest="command", required=True)
+    commands, flags = {}, {}
+
+    def command(name, help):
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
+
+    def keyed(p, name, **kwargs):  # a flag that the config key `name` may also set
+        flags[name] = p.add_argument(f"--{name}", **kwargs)
 
     def common(p):
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--band", choices=_CHOICES["band"])
-        p.add_argument("--sims", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--format", choices=_CHOICES["format"])
-        p.add_argument("--output", help="output path (default: stdout)")
+        keyed(p, "alpha", type=float, default=BoundSpec.alpha)
+        keyed(p, "band", choices=("analytic", "simulated"), default=BoundSpec.band_kind)
+        keyed(p, "sims", type=int, default=BoundSpec.sims)
+        keyed(p, "seed", type=int, default=BoundSpec.seed)
+        keyed(p, "format", choices=("csv", "json"), default="csv")
+        keyed(p, "output", help="output path (default: stdout)")
 
-    p = sub.add_parser("estimate", help="bound TV from a two-sample score file")
+    p = command("estimate", help="bound TV from a two-sample score file")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["c", "bayes", "adapt"], required=True)
     common(p)
 
-    p = sub.add_parser("simulate", help="generate a scored dataset from a model family")
+    p = command("simulate", help="generate a scored dataset from a model family")
     p.add_argument("--example", required=True, choices=["0", "1", "2", "toy"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--pi", type=float)
+    keyed(p, "c", type=float)
+    keyed(p, "pi", type=float, default=ExampleSpec.pi)
     common(p)
 
-    p = sub.add_parser("level", help="Monte-Carlo exceedance frequency of an estimator")
+    p = command("level", help="Monte-Carlo exceedance frequency of an estimator")
     p.add_argument("--example", required=True, choices=["0", "1", "2", "toy"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--c", type=float)
+    keyed(p, "c", type=float)
     p.add_argument("--method", choices=["c", "bayes", "adapt", "oracle_t"], required=True)
-    p.add_argument("--reps", type=int)
+    keyed(p, "reps", type=int, default=100)
+    p.set_defaults(pi=ExampleSpec.pi)  # no --pi flag, but a config file may set it
     common(p)
 
-    p = sub.add_parser("powergrid", help="detection frequencies over a (gamma, N) grid")
+    p = command("powergrid", help="detection frequencies over a (gamma, N) grid")
     p.add_argument("--example", required=True, choices=["1", "2"])
     p.add_argument("--method", choices=["c", "bayes", "adapt"], required=True)
     p.add_argument("--gammas", required=True, help="comma-separated, e.g. -0.2,-0.3")
     p.add_argument("--ns", required=True, help="comma-separated, e.g. 500,1000")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--c", type=float)
+    keyed(p, "reps", type=int, default=100)
+    keyed(p, "epsilon", type=float, default=1.0)
+    keyed(p, "c", type=float)
     common(p)
 
-    p = sub.add_parser("scan", help="adaptive bounds over split points of an ordered file")
+    p = command("scan", help="adaptive bounds over split points of an ordered file")
     p.add_argument("--input", required=True)
     p.add_argument("--splits", required=True, help="comma-separated split points")
     common(p)
 
-    p = sub.add_parser("pairwise", help="pairwise TV bound matrix from multiclass scores")
+    p = command("pairwise", help="pairwise TV bound matrix from multiclass scores")
     p.add_argument("--input", required=True)
     common(p)
 
-    return top
+    return top, commands, flags
 
 
-def _cmd_estimate(args, cfg):
-    spec = _bound_spec(args, cfg)
+def _cmd_estimate(args):
+    spec = _bound_spec(args)
     data = hio.parse_two_sample(args.input, tie_seed=spec.seed)
     print(f"parsed {data.total} rows: m={data.m}, n={data.n}", file=sys.stderr)
     if args.method == "adapt":
@@ -174,91 +155,78 @@ def _cmd_estimate(args, cfg):
         result = lambda_bayes(data, spec.alpha)
     else:
         result = lambda_c(data, spec.alpha)
-    hio.emit_result(result, _opt(args, cfg, "format"), _opt(args, cfg, "output"))
+    hio.emit_result(result, args.format, args.output)
     return 0
 
 
-def _example_spec(args, cfg):
+def _example_spec(args):
     example = args.example if args.example == "toy" else int(args.example)
-    c = _opt(args, cfg, "c")
-    return ExampleSpec(
-        example_id=example,
-        n_total=args.n,
-        gamma=args.gamma,
-        c=default_scale(example) if c is None else c,
-        pi=_opt(args, cfg, "pi"),
-    )
+    return ExampleSpec(example_id=example, n_total=args.n, gamma=args.gamma, c=args.c, pi=args.pi)
 
 
-def _cmd_simulate(args, cfg):
-    spec = _example_spec(args, cfg)
-    seed = _opt(args, cfg, "seed")
-    data, lam = gen_example(spec, RngStream(seed, 0, ("simulate",)))
+def _cmd_simulate(args):
+    spec = _example_spec(args)
+    data, lam = gen_example(spec, RngStream(args.seed, 0, ("simulate",)))
     lines = ["score,label\n"]
     lines += [f"{float(s)!r},{int(l)}\n" for s, l in zip(data.scores, data.labels)]
-    output = _opt(args, cfg, "output")
-    hio.write_text(output, "".join(lines))
+    hio.write_text(args.output, "".join(lines))
     meta = {
         "example": args.example,
         "n": args.n,
         "gamma": args.gamma,
         "c": spec.c,
         "pi": spec.pi,
-        "seed": seed,
+        "seed": args.seed,
         "m": data.m,
         "n_class1": data.n,
         "true_lambda": lam,
     }
     # a dataset on stdout stays readable: its metadata goes to stderr
-    print(json.dumps(meta, sort_keys=True), file=sys.stdout if output else sys.stderr)
+    print(json.dumps(meta, sort_keys=True), file=sys.stdout if args.output else sys.stderr)
     return 0
 
 
-def _cmd_level(args, cfg):
-    spec = _example_spec(args, cfg)
-    bound = _bound_spec(args, cfg)
-    reps = _opt(args, cfg, "reps")
-    freq = run_level_study(
-        spec, args.method, bound.alpha, reps, RngStream(bound.seed, 0, ("level",)), bound
-    )
-    hio.emit_level(args.method, bound.alpha, reps, freq, _opt(args, cfg, "format"),
-                   _opt(args, cfg, "output"))
+def _cmd_level(args):
+    spec = _example_spec(args)
+    bound = _bound_spec(args)
+    rng = RngStream(bound.seed, 0, ("level",))
+    freq = run_level_study(spec, args.method, args.reps, rng, bound)
+    hio.emit_level(args.method, bound.alpha, args.reps, freq, args.format, args.output)
     return 0
 
 
-def _cmd_powergrid(args, cfg):
-    bound = _bound_spec(args, cfg)
+def _cmd_powergrid(args):
+    bound = _bound_spec(args)
     result = run_power_grid(
         example=int(args.example),
         method=args.method,
         gammas=_float_list(args.gammas),
         ns=_int_list(args.ns),
-        reps=_opt(args, cfg, "reps"),
-        epsilon=_opt(args, cfg, "epsilon"),
-        alpha=bound.alpha,
+        reps=args.reps,
+        epsilon=args.epsilon,
         rng=RngStream(bound.seed, 0, ("powergrid",)),
         bound=bound,
-        c=_opt(args, cfg, "c"),
+        c=args.c,
     )
-    hio.emit_powergrid(result, _opt(args, cfg, "format"), _opt(args, cfg, "output"))
+    hio.emit_powergrid(result, args.format, args.output)
     return 0
 
 
-def _cmd_scan(args, cfg):
-    bound = _bound_spec(args, cfg)
+def _cmd_scan(args):
+    bound = _bound_spec(args)
     t, scores = hio.parse_ordered(args.input)
     result = split_scan(t, scores, _float_list(args.splits), bound, tie_seed=bound.seed)
     for warning in result.skipped:
         print(f"warning: {warning}", file=sys.stderr)
-    hio.emit_scan(result, _opt(args, cfg, "format"), _opt(args, cfg, "output"))
+    hio.emit_scan(result, args.format, args.output)
     return 0
 
 
-def _cmd_pairwise(args, cfg):
-    bound = _bound_spec(args, cfg)
+def _cmd_pairwise(args):
+    bound = _bound_spec(args)
     labels, probs = hio.parse_multiclass(args.input)
     matrix = pairwise_matrix(probs, labels, bound)
-    hio.emit_pairwise(matrix, _opt(args, cfg, "format"), _opt(args, cfg, "output"))
+    hio.emit_pairwise(matrix, args.format, args.output)
     return 0
 
 
@@ -273,11 +241,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands, flags = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        if args.config is not None:
+            # config values become the command's defaults, so a flag still wins
+            commands[args.command].set_defaults(**_load_config(args.config, flags))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (DatasetError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

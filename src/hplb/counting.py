@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import MEMO_SIZE, _binom_quantile, _BoundedMemo
-from .errors import BandDomainError, ParameterError
+from .errors import ParameterError
 from .streams import RngStream
 
 __all__ = [
@@ -201,7 +201,7 @@ def beta_threshold(alpha: float, m_eff: int) -> float:
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if m_eff < 8:
-        raise BandDomainError(f"analytic threshold needs m_eff >= 8, got {m_eff}")
+        raise ParameterError(f"analytic threshold needs m_eff >= 8, got {m_eff}")
     L = math.log(math.log(m_eff))
     x = -math.log(-math.log(1.0 - alpha) / 2.0)
     s = math.sqrt(2.0 * L)

@@ -71,18 +71,21 @@ class ExampleSpec:
     """Parameters of one simulated two-sample draw.
 
     gamma = None freezes the signal at scale c (rate exponent zero); with a
-    gamma in (-1, 0) the signal decays like c * N^gamma.
+    gamma in (-1, 0) the signal decays like c * N^gamma.  c = None takes
+    `default_scale(example_id)`.
     """
 
     example_id: object
     n_total: int
     gamma: float | None = None
-    c: float = 1.0
+    c: float | None = None
     pi: float = 0.5
 
     def __post_init__(self):
         if self.example_id not in (0, 1, 2, "toy"):
             raise ParameterError("example_id must be 0, 1, 2 or 'toy'")
+        if self.c is None:
+            object.__setattr__(self, "c", default_scale(self.example_id))
         if self.n_total < 4:
             raise ParameterError("need at least 4 observations")
         if self.gamma is not None and not (-1.0 < self.gamma < 0.0):
@@ -174,30 +177,29 @@ def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float
     return LabeledScores(scores=scores, labels=labels, tie_seed=tie_seed), lam
 
 
-def _estimate(method, data, alpha, spec, sigma=None):
+def _estimate(method, data, bound, sigma=None):
     if method == "c":
-        return lambda_c(data, alpha)
+        return lambda_c(data, bound.alpha)
     if method == "bayes":
-        return lambda_bayes(data, alpha)
+        return lambda_bayes(data, bound.alpha)
     if method == "adapt":
-        return lambda_adapt(data, spec)
+        return lambda_adapt(data, bound)
     if method == "oracle_t":
-        return lambda_oracle_t(data, 0.5, sigma, alpha)
+        return lambda_oracle_t(data, 0.5, sigma, bound.alpha)
     raise ParameterError(f"unknown method {method!r}; choose from {_METHODS}")
 
 
 def run_level_study(
     spec: ExampleSpec,
     method: str,
-    alpha: float,
     reps: int,
     rng: RngStream,
     bound: BoundSpec | None = None,
 ) -> float:
-    """Fraction of replications with lambda_hat above the true TV."""
+    """Fraction of replications with lambda_hat above the true TV, at level `bound.alpha`."""
     if reps < 100:
         raise ParameterError("need at least 100 replications")
-    bound = bound or BoundSpec(alpha=alpha)
+    bound = bound or BoundSpec()
     # every replication has the class sizes of `spec`, so oracle_t's true
     # standard deviation is computed once, before any replication runs
     sigma = None
@@ -206,7 +208,7 @@ def run_level_study(
 
     def one(i):
         data, lam = gen_example(spec, rng.child("rep", i))
-        est = _estimate(method, data, alpha, bound, sigma=sigma)
+        est = _estimate(method, data, bound, sigma=sigma)
         return est.value > lam
 
     hits = _map_indexed(one, reps)
@@ -271,12 +273,14 @@ def run_power_grid(
     ns,
     reps: int,
     epsilon: float,
-    alpha: float,
     rng: RngStream,
     bound: BoundSpec | None = None,
     c: float | None = None,
 ) -> PowerGridResult:
-    """Detection frequency of {lambda_hat > (1 - epsilon) TV} over a (gamma, N) grid."""
+    """Detection frequency of {lambda_hat > (1 - epsilon) TV} over a (gamma, N) grid.
+
+    Every estimate is at level `bound.alpha`, which the result reports as `alpha`.
+    """
     if not gammas or not ns:
         raise ParameterError("grids must be nonempty")
     if reps < 1:
@@ -289,7 +293,7 @@ def run_power_grid(
         raise ParameterError(f"power grids support methods c, bayes and adapt, got {method!r}")
     if c is None:
         c = default_scale(example)
-    bound = bound or BoundSpec(alpha=alpha)
+    bound = bound or BoundSpec()
     freq, mean_lam = {}, {}
     for g in gammas:
         for N in ns:
@@ -297,7 +301,7 @@ def run_power_grid(
 
             def one(i, spec=spec, g=g, N=N):
                 data, lam = gen_example(spec, rng.child("cell", round(g, 6), N, i))
-                est = _estimate(method, data, alpha, bound)
+                est = _estimate(method, data, bound)
                 return est.value, est.value > (1.0 - epsilon) * lam
 
             rows = _map_indexed(one, reps)
@@ -313,7 +317,7 @@ def run_power_grid(
         ns=tuple(ns),
         reps=reps,
         epsilon=epsilon,
-        alpha=alpha,
+        alpha=bound.alpha,
         c=c,
         freq=freq,
         mean_lambda=mean_lam,

@@ -146,8 +146,11 @@ def write_text(path, text: str) -> None:
     if path is None:
         print(text, end="")
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DatasetError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(fmt: str, path, header: str, rows, payload) -> None:

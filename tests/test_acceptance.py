@@ -89,11 +89,11 @@ def test_criterion_2_example2_rate_separation():
     analytic = BoundSpec(alpha=ALPHA, band_kind="analytic", seed=0)
     adapt = run_power_grid(
         example=2, method="adapt", gammas=GAMMAS, ns=NS, reps=100, epsilon=1.0,
-        alpha=ALPHA, rng=RngStream(20_000, 0), bound=analytic, c=2.0,
+        rng=RngStream(20_000, 0), bound=analytic, c=2.0,
     )
     bayes = run_power_grid(
         example=2, method="bayes", gammas=GAMMAS, ns=NS, reps=100, epsilon=1.0,
-        alpha=ALPHA, rng=RngStream(21_000, 0), c=2.0,
+        rng=RngStream(21_000, 0), bound=BoundSpec(alpha=ALPHA), c=2.0,
     )
     ok_a = report("2 adapt slope", abs(adapt.slope - (-1.0)) <= 0.15, f"{adapt.slope:.3f}")
     ok_b = report("2 bayes slope", abs(bayes.slope - (-0.5)) <= 0.15, f"{bayes.slope:.3f}")
@@ -103,7 +103,7 @@ def test_criterion_2_example2_rate_separation():
     simulated = BoundSpec(alpha=ALPHA, band_kind="simulated", sims=1000, seed=0)
     cell_adapt = run_power_grid(
         example=2, method="adapt", gammas=[-0.7], ns=[8000], reps=100, epsilon=1.0,
-        alpha=ALPHA, rng=RngStream(22_000, 0), bound=simulated, c=2.0,
+        rng=RngStream(22_000, 0), bound=simulated, c=2.0,
     ).freq[(-0.7, 8000)]
     cell_bayes = bayes.freq[(-0.7, 8000)]
     ok_c = report("2 adapt cell detection", cell_adapt >= 0.8, f"{cell_adapt:.2f} >= 0.8")
@@ -116,11 +116,11 @@ def test_criterion_3_example1_oracle_rate():
     analytic = BoundSpec(alpha=ALPHA, band_kind="analytic", seed=0)
     adapt = run_power_grid(
         example=1, method="adapt", gammas=GAMMAS, ns=NS, reps=100, epsilon=1.0,
-        alpha=ALPHA, rng=RngStream(30_000, 0), bound=analytic, c=1.0,
+        rng=RngStream(30_000, 0), bound=analytic, c=1.0,
     )
     bayes = run_power_grid(
         example=1, method="bayes", gammas=GAMMAS, ns=NS, reps=100, epsilon=1.0,
-        alpha=ALPHA, rng=RngStream(31_000, 0), c=1.0,
+        rng=RngStream(31_000, 0), bound=BoundSpec(alpha=ALPHA), c=1.0,
     )
     ok_a = report("3 adapt slope", abs(adapt.slope - (-1.0)) <= 0.15, f"{adapt.slope:.3f}")
     ok_b = report("3 bayes slope", abs(bayes.slope - (-1.0)) <= 0.15, f"{bayes.slope:.3f}")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 CLI = [sys.executable, "-m", "hplb.cli"]
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def run(*args, cwd=None):
@@ -189,6 +190,78 @@ def test_bad_config_entry_exits_2_naming_file_and_key(tmp_path, line, key):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert str(cfg) in proc.stderr and repr(key) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key,file_value,flag_value",
+    [("alpha", "0.1", "0.02"), ("band", "analytic", "simulated"), ("sims", "300", "1000"),
+     ("seed", "3", "4"), ("format", "json", "csv")],
+)
+def test_config_key_matches_its_flag_and_the_flag_wins(tmp_path, key, file_value, flag_value):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key}={file_value}\n", encoding="utf-8")
+    args = ["estimate", "--input", str(DATA / "two_sample_mirrored.csv"), "--method", "adapt"]
+    from_file = run("--config", str(cfg), *args)
+    assert from_file.returncode == 0, from_file.stderr
+    assert from_file.stdout == run(*args, f"--{key}", file_value).stdout
+    flag = run(*args, f"--{key}", flag_value).stdout
+    assert flag != from_file.stdout
+    assert run("--config", str(cfg), *args, f"--{key}", flag_value).stdout == flag
+
+
+def test_config_output_matches_its_flag_and_the_flag_wins(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"output={tmp_path / 'file.csv'}\n", encoding="utf-8")
+    args = ["estimate", "--input", str(DATA / "two_sample_mirrored.csv"), "--method", "bayes"]
+    proc = run("--config", str(cfg), *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert run(*args, "--output", str(tmp_path / "flag.csv")).returncode == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    (tmp_path / "file.csv").unlink()
+    assert run("--config", str(cfg), *args, "--output", str(tmp_path / "both.csv")).returncode == 0
+    assert not (tmp_path / "file.csv").exists()
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+def test_level_reads_pi_and_reps_from_config(tmp_path, monkeypatch, capsys):
+    from hplb import cli
+
+    studied = []
+
+    def study(spec, *args, **kwargs):
+        studied.append(spec)
+        return 0.0
+
+    monkeypatch.setattr(cli, "run_level_study", study)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("pi=0.3\nreps=120\n", encoding="utf-8")
+    code = cli.main(["--config", str(cfg), "level", "--example", "1", "--n", "300",
+                     "--c", "0.2", "--method", "bayes", "--format", "json"])
+    assert code == 0
+    assert [spec.pi for spec in studied] == [0.3]
+    assert json.loads(capsys.readouterr().out)["reps"] == 120
+
+
+def test_estimate_defaults_are_the_bound_spec_defaults(capsys):
+    from hplb import BoundSpec, lambda_adapt
+    from hplb import io as hio
+
+    path = DATA / "two_sample_mirrored.csv"
+    proc = run("estimate", "--input", str(path), "--method", "adapt")
+    assert proc.returncode == 0, proc.stderr
+    data = hio.parse_two_sample(path, tie_seed=BoundSpec.seed)
+    hio.emit_result(lambda_adapt(data, BoundSpec()), "csv")
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_unwritable_output_exits_2_naming_the_path(tmp_path):
+    out = tmp_path / "missing" / "out.csv"
+    proc = run("estimate", "--input", str(DATA / "two_sample_mirrored.csv"), "--method", "bayes",
+               "--output", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert str(out) in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_byte_identical_reruns(tmp_path):

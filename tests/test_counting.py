@@ -11,7 +11,6 @@ from scipy import stats
 from conftest import count_null_rows, separated_scores
 from hplb import (
     BandConstant,
-    BandDomainError,
     BoundSpec,
     CountingPath,
     LabeledScores,
@@ -192,7 +191,7 @@ class TestBetaThreshold:
         assert beta_threshold(0.01, 1000) > beta_threshold(0.10, 1000)
 
     def test_small_m_guard(self):
-        with pytest.raises(BandDomainError):
+        with pytest.raises(ParameterError):
             beta_threshold(0.05, 7)
         beta_threshold(0.05, 8)  # boundary is allowed
 

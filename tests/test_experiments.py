@@ -36,6 +36,11 @@ class TestExampleSpec:
         with pytest.raises(ParameterError):
             ExampleSpec(example_id=0, n_total=100, gamma=None, c=1.2)  # p > 1
 
+    @pytest.mark.parametrize("example_id,scale", [(0, 1.0), (1, 1.0), (2, 2.0), ("toy", 1.0)])
+    def test_default_scale(self, example_id, scale):
+        # the README's documented defaults: c = 2 for example 2, c = 1 otherwise
+        assert ExampleSpec(example_id, 1000, gamma=-0.5).c == scale
+
     def test_example0_rate_parameterization(self):
         # lambda = N^gamma at c = 1
         spec = ExampleSpec(example_id=0, n_total=1000, gamma=-0.25, c=1.0)
@@ -97,7 +102,6 @@ class TestLevelStudy:
         freq = run_level_study(
             ExampleSpec(example_id=1, n_total=600, gamma=None, c=0.2),
             "bayes",
-            0.05,
             1000,
             RngStream(21, 0),
         )
@@ -106,7 +110,7 @@ class TestLevelStudy:
     def test_null_level_both_methods(self):
         spec = ExampleSpec(example_id=1, n_total=400, gamma=None, c=0.0)
         for method in ("bayes", "adapt"):
-            freq = run_level_study(spec, method, 0.05, 300, RngStream(22, 0), SIM_FAST)
+            freq = run_level_study(spec, method, 300, RngStream(22, 0), SIM_FAST)
             assert freq <= 0.05 + 2 * math.sqrt(0.05 * 0.95 / 300)
 
     def test_minimum_reps(self):
@@ -114,7 +118,6 @@ class TestLevelStudy:
             run_level_study(
                 ExampleSpec(example_id=1, n_total=100, gamma=None, c=0.1),
                 "bayes",
-                0.05,
                 50,
                 RngStream(0, 0),
             )
@@ -129,7 +132,6 @@ class TestPowerGrid:
             ns=[200, 400],
             reps=5,
             epsilon=1.0,
-            alpha=0.05,
             rng=RngStream(7, 0),
         )
         assert len(grid.freq) == 4
@@ -152,7 +154,6 @@ class TestPowerGrid:
                 ns=[200],
                 reps=5,
                 epsilon=1.0,
-                alpha=0.05,
                 rng=RngStream(7, 0),
             )
         assert drawn == []
@@ -165,7 +166,6 @@ class TestPowerGrid:
             ns=[300],
             reps=10,
             epsilon=1.0,
-            alpha=0.05,
             bound=SIM_FAST,
         )
         a = run_power_grid(rng=RngStream(3, 0), **kwargs)
@@ -182,7 +182,6 @@ class TestPowerGrid:
             ns=[2000],
             reps=40,
             epsilon=0.25,
-            alpha=0.05,
             rng=RngStream(8, 0),
         )
         strong = run_power_grid(
@@ -192,7 +191,6 @@ class TestPowerGrid:
             ns=[2000],
             reps=40,
             epsilon=1.0,
-            alpha=0.05,
             rng=RngStream(8, 0),
         )
         assert grid.freq[(-0.2, 2000)] <= strong.freq[(-0.2, 2000)]
@@ -312,7 +310,6 @@ class TestExample2GridProperties:
             ns=self.ns,
             reps=100,
             epsilon=1.0,
-            alpha=0.05,
             c=2.0,
         )
         sim_band = BoundSpec(alpha=0.05, band_kind="simulated", sims=600, seed=0)
