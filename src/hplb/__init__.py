@@ -9,7 +9,7 @@ observations witnessing a distributional difference.
 # Imported first so that scipy.special loads here rather than nested inside
 # `counting`: that nesting measured 20-40 ms slower on `import hplb`, a gap
 # that closes with the garbage collector disabled.
-from .distributions import BinomialParams, binom_quantile, normal_quantile
+from .distributions import binom_quantile, normal_quantile
 from .bounding import BoundSpec, EffectiveSizes, effective_sizes, is_violated, q_bound
 from .counting import (
     BandConstant,
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyPair",
     "BandConstant",
-    "BinomialParams",
     "BoundSpec",
     "CountingPath",
     "DatasetError",

@@ -20,12 +20,13 @@ at most alpha, which is exactly what the adaptive estimator needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .counting import CountingPath, _normalized_paths, band_constant, band_value, exceeds_band
-from .distributions import BinomialParams, binom_quantile
+from .distributions import binom_quantile
 from .errors import ParameterError
 
 __all__ = ["BoundSpec", "EffectiveSizes", "effective_sizes", "q_bound", "is_violated"]
@@ -54,18 +55,11 @@ class BoundSpec:
             )
 
 
-@dataclass(frozen=True)
-class EffectiveSizes:
+class EffectiveSizes(NamedTuple):
     q_m: int
     q_n: int
-    m_eff: int = field(init=False)
-    n_eff: int = field(init=False)
-    m: int = 0
-    n: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_eff", self.m - self.q_m)
-        object.__setattr__(self, "n_eff", self.n - self.q_n)
+    m_eff: int
+    n_eff: int
 
 
 def effective_sizes(lambda_tilde: float, m: int, n: int, spec: BoundSpec) -> EffectiveSizes:
@@ -78,9 +72,9 @@ def effective_sizes(lambda_tilde: float, m: int, n: int, spec: BoundSpec) -> Eff
     elif lambda_tilde >= 1.0:
         q_m, q_n = m, n
     else:
-        q_m = binom_quantile(level, BinomialParams(lambda_tilde, m))
-        q_n = binom_quantile(level, BinomialParams(lambda_tilde, n))
-    return EffectiveSizes(q_m=q_m, q_n=q_n, m=m, n=n)
+        q_m = binom_quantile(level, lambda_tilde, m)
+        q_n = binom_quantile(level, lambda_tilde, n)
+    return EffectiveSizes(q_m, q_n, m - q_m, n - q_n)
 
 
 def _band_key(sizes: EffectiveSizes, spec: BoundSpec):

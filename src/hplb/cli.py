@@ -126,8 +126,9 @@ def _build_parser():
     p = command("powergrid", help="detection frequencies over a (gamma, N) grid")
     p.add_argument("--example", required=True, choices=["1", "2"])
     p.add_argument("--method", choices=["c", "bayes", "adapt"], required=True)
-    p.add_argument("--gammas", required=True, help="comma-separated, e.g. -0.2,-0.3")
-    p.add_argument("--ns", required=True, help="comma-separated, e.g. 500,1000")
+    p.add_argument("--gammas", type=_float_list, required=True,
+                   help="comma-separated, e.g. -0.2,-0.3")
+    p.add_argument("--ns", type=_int_list, required=True, help="comma-separated, e.g. 500,1000")
     keyed(p, "reps", type=int, default=100)
     keyed(p, "epsilon", type=float, default=1.0)
     keyed(p, "c", type=float)
@@ -135,7 +136,8 @@ def _build_parser():
 
     p = command("scan", help="adaptive bounds over split points of an ordered file")
     p.add_argument("--input", required=True)
-    p.add_argument("--splits", required=True, help="comma-separated split points")
+    p.add_argument("--splits", type=_float_list, required=True,
+                   help="comma-separated split points")
     common(p)
 
     p = command("pairwise", help="pairwise TV bound matrix from multiclass scores")
@@ -200,8 +202,8 @@ def _cmd_powergrid(args):
     result = run_power_grid(
         example=int(args.example),
         method=args.method,
-        gammas=_float_list(args.gammas),
-        ns=_int_list(args.ns),
+        gammas=args.gammas,
+        ns=args.ns,
         reps=args.reps,
         epsilon=args.epsilon,
         rng=RngStream(bound.seed, 0, ("powergrid",)),
@@ -215,7 +217,7 @@ def _cmd_powergrid(args):
 def _cmd_scan(args):
     bound = _bound_spec(args)
     t, scores = hio.parse_ordered(args.input)
-    result = split_scan(t, scores, _float_list(args.splits), bound, tie_seed=bound.seed)
+    result = split_scan(t, scores, args.splits, bound, tie_seed=bound.seed)
     for warning in result.skipped:
         print(f"warning: {warning}", file=sys.stderr)
     hio.emit_scan(result, args.format, args.output)

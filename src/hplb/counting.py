@@ -281,26 +281,14 @@ def simulate_null_sup_quantile(
 ) -> BandConstant:
     """Monte Carlo (1-alpha) quantile of T = max_z (V[z] - z m_eff/N_eff) / w(z).
 
-    The simulations cut one null draw: `sims` uniform permutations of the
-    ids 0..N-1, N = m + n with m = m_eff + q_m, n = n_eff + q_n and
-    (q_m, q_n) = `removed`.  Ids below m are ones, the rest zeros.  Each
-    row drops the q_m smallest one-ids and the q_n smallest zero-ids, which
-    leaves an exact null path of m_eff ones among n_eff zeros (README.md,
-    Notes, "Coupled null draws").  The draw restarts `rng` from its
-    identity and depends on that and (N, sims) only, so constants with
-    another `removed` cut the same draw, which is kept between calls (see
-    `_null_draw`).
-
-    The constant is the k-th smallest T with k = ceil((1-alpha)(sims+1)),
-    the Monte Carlo rank rule: a fresh null path exceeds it with
-    probability at most alpha.  Budgets with k > sims, that is
-    alpha (sims + 1) < 1, are rejected.
+    The constant of a simulated band record (`_BandRecord`) whose null draw
+    restarts `rng` from its identity, cut at (q_m, q_n) = `removed`: the
+    k-th smallest of `sims` null sup statistics, k = ceil((1-alpha)(sims+1)).
+    Budgets with alpha (sims + 1) < 1 are rejected.  README.md, Notes,
+    "Coupled null draws and the rank rule", has the argument.
     """
-    k = _rank(alpha, m_eff, n_eff, sims, removed)
-    draw = _null_draw(rng, m_eff + n_eff + sum(removed), sims)
-    T = np.concatenate(list(_sup_statistics(draw, m_eff, n_eff, removed)))
-    return BandConstant(kind="simulated", c=float(np.partition(T, k - 1)[k - 1]),
-                        m_eff=m_eff, n_eff=n_eff, alpha=alpha, sims=sims)
+    return _BandRecord(alpha, m_eff, n_eff, "simulated", sims, rng.identity,
+                       tuple(removed)).constant()
 
 
 # The null draw comes in row chunks of at most _CHUNK_IDS ids, which also
@@ -347,11 +335,12 @@ def _draw_rows(rng: RngStream, N: int, sims: int):
         yield ids
 
 
-def _null_draw(rng: RngStream, N: int, sims: int):
-    """The null draw of `rng`: the stored chunks if they fit the budget, else fresh ones."""
+def _null_draw(identity: tuple, N: int, sims: int):
+    """The null draw of the stream `identity` (`RngStream.identity`): the
+    stored chunks if they fit the budget, else fresh ones."""
     if _over_budget(N, sims):
-        return _draw_rows(RngStream(*rng.identity), N, sims)
-    return _stored_draw(rng.identity, N, sims)
+        return _draw_rows(RngStream(*identity), N, sims)
+    return _stored_draw(identity, N, sims)
 
 
 def _cut(ids: np.ndarray, m: int, q_m: int, q_n: int) -> np.ndarray:
@@ -470,11 +459,12 @@ def band_constant(
 
     A simulated constant is cut from the null draw of the full sizes
     (m_eff + q_m, n_eff + q_n), (q_m, q_n) = `removed`, so every TV
-    candidate of one sample shares a single draw (see
-    `simulate_null_sup_quantile`).  The analytic fallback draws at its own
-    sizes, so the analytic band never pays for a full-size draw.  The
-    constant completes the key's record of null sup statistics, which
-    `exceeds_band` may have begun, and is the same object on every call.
+    candidate of one sample shares a single draw (README.md, Notes,
+    "Coupled null draws and the rank rule").  The analytic fallback draws
+    at its own sizes, so the analytic band never pays for a full-size
+    draw.  The constant completes the key's record of null sup statistics,
+    which `exceeds_band` may have begun, and is the same object on every
+    call.
 
     The fallback constant is floored at the analytic threshold
     beta(alpha, 8) at the guard boundary (README.md, Notes, "The analytic
@@ -507,17 +497,24 @@ def _band_record(alpha, m_eff, n_eff, kind, sims, seed, removed):
     if kind not in ("analytic", "simulated"):
         raise ParameterError(f"unknown band kind {kind!r}")
     if kind == "analytic":
-        removed = (0, 0)
         if m_eff >= 8:
-            sims = 0
-        elif alpha * (sims + 1) < 1.0:
+            return _band_records(alpha, m_eff, n_eff, kind, 0, None, (0, 0))
+        removed = (0, 0)
+        if alpha * (sims + 1) < 1.0:
             sims = math.ceil(1.0 / alpha)
-    return _band_records(alpha, m_eff, n_eff, kind, sims, seed, tuple(removed))
+    m, n = m_eff + removed[0], n_eff + removed[1]
+    identity = (seed, 0, ("null-band", m, n, sims, round(alpha, 12)))
+    return _band_records(alpha, m_eff, n_eff, kind, sims, identity, tuple(removed))
 
 
 class _BandRecord:
     """One band key's constant, or the null sup statistics computed toward it.
 
+    The record is the only code that turns a null draw into a constant.
+    It cuts the draw of the stream `identity` (`RngStream.identity`),
+    which `_band_record` derives from the key's full sizes and
+    `simulate_null_sup_quantile` takes from its caller's stream; an
+    analytic key with m_eff >= 8 draws nothing and has none.
     The first query cuts the stored null draw chunk by chunk, in draw
     order, until the kept statistics settle its verdict (`_verdict`; the
     stop rule is argued in README.md, Notes, "A verdict reads as few null
@@ -531,7 +528,7 @@ class _BandRecord:
     without any row.
     """
 
-    def __init__(self, alpha, m_eff, n_eff, kind, sims, seed, removed):
+    def __init__(self, alpha, m_eff, n_eff, kind, sims, identity, removed):
         self.const = None
         if kind == "analytic" and m_eff >= 8:
             self.const = BandConstant("analytic", beta_threshold(alpha, m_eff), m_eff, n_eff,
@@ -541,8 +538,7 @@ class _BandRecord:
         self._reach = sims + 1 - self._k
         self._key = (alpha, m_eff, n_eff, sims, removed)
         self._floor = beta_threshold(alpha, 8) if kind == "analytic" else -math.inf
-        m, n = m_eff + removed[0], n_eff + removed[1]
-        self._rng = RngStream(seed, 0, ("null-band", m, n, sims, round(alpha, 12)))
+        self._identity = identity
         self._stats, self._chunks = np.empty(0), 0  # cut so far, in draw order
 
     def constant(self) -> BandConstant:
@@ -591,13 +587,13 @@ class _BandRecord:
         T = np.concatenate([self._stats, *self._more()])
         c = max(float(np.partition(T, self._k - 1)[self._k - 1]), self._floor)
         self.const = BandConstant("simulated", c, m_eff, n_eff, alpha, sims)
-        self._stats = self._rng = None
+        self._stats = None
         return self.const
 
     def _more(self):
         """The sup statistics of the draw's chunks after those already kept."""
         alpha, m_eff, n_eff, sims, removed = self._key
-        draw = _null_draw(self._rng, m_eff + n_eff + sum(removed), sims)
+        draw = _null_draw(self._identity, m_eff + n_eff + sum(removed), sims)
         rest = itertools.islice(draw, self._chunks, None)
         return _sup_statistics(rest, m_eff, n_eff, removed)
 

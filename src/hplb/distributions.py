@@ -20,7 +20,6 @@ from .errors import ParameterError
 
 __all__ = [
     "MEMO_SIZE",
-    "BinomialParams",
     "binom_quantile",
     "normal_quantile",
 ]
@@ -66,25 +65,15 @@ class _BoundedMemo:
         self._misses = 0
 
 
-class BinomialParams:
-    """Success probability and trial count of a binomial law."""
-
-    __slots__ = ("p", "m")
-
-    def __init__(self, p: float, m: int):
-        if not (0.0 <= p <= 1.0) or math.isnan(p):
-            raise ParameterError(f"success probability must lie in [0, 1], got {p}")
-        if m < 0 or int(m) != m:
-            raise ParameterError(f"trial count must be a nonnegative integer, got {m}")
-        self.p = float(p)
-        self.m = int(m)
-
-
-def binom_quantile(alpha: float, params: BinomialParams) -> int:
-    """Smallest k with CDF(k) >= alpha under the infimum convention."""
+def binom_quantile(alpha: float, p: float, m: int) -> int:
+    """Smallest k with CDF(k) >= alpha for Binomial(p, m), under the infimum convention."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"quantile level must lie in (0, 1), got {alpha}")
-    return _binom_quantile(alpha, params.p, params.m)
+    if not (0.0 <= p <= 1.0):  # NaN too
+        raise ParameterError(f"success probability must lie in [0, 1], got {p}")
+    if m < 0 or int(m) != m:
+        raise ParameterError(f"trial count must be a nonnegative integer, got {m}")
+    return _binom_quantile(alpha, float(p), int(m))
 
 
 def _compute_binom_quantile(alpha: float, p: float, m: int) -> int:

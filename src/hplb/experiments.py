@@ -72,7 +72,8 @@ class ExampleSpec:
 
     gamma = None freezes the signal at scale c (rate exponent zero); with a
     gamma in (-1, 0) the signal decays like c * N^gamma.  c = None takes
-    `default_scale(example_id)`.
+    `default_scale(example_id)`.  The toy's contamination is fixed, so it
+    takes neither c nor gamma.
     """
 
     example_id: object
@@ -84,6 +85,8 @@ class ExampleSpec:
     def __post_init__(self):
         if self.example_id not in (0, 1, 2, "toy"):
             raise ParameterError("example_id must be 0, 1, 2 or 'toy'")
+        if self.example_id == "toy" and (self.c is not None or self.gamma is not None):
+            raise ParameterError("the toy model has a fixed contamination: it takes no c or gamma")
         if self.c is None:
             object.__setattr__(self, "c", default_scale(self.example_id))
         if self.n_total < 4:
@@ -94,7 +97,7 @@ class ExampleSpec:
             raise ParameterError("scale constant must be nonnegative")
         if not (0.0 < self.pi < 1.0):
             raise ParameterError("class balance must lie in (0, 1)")
-        self._derived()  # validate derived parameters now
+        example_model(self)  # checks the family's own parameters
 
     def class_sizes(self) -> tuple[int, int]:
         """(m, n) = (floor(pi N), N - m): draws from P, then from Q."""
@@ -105,24 +108,6 @@ class ExampleSpec:
 
     def signal(self) -> float:
         return self.c * (self.n_total ** self.gamma if self.gamma is not None else 1.0)
-
-    def _derived(self):
-        s = self.signal()
-        if self.example_id == 0:
-            p = (1.0 + s) / 2.0
-            if not (0.5 <= p <= 1.0):
-                raise ParameterError(f"example 0 needs p in (0.5, 1], got {p}")
-            return {"p": p}
-        if self.example_id == 1:
-            if not (0.0 <= s < 1.0):
-                raise ParameterError(f"example 1 needs delta in [0, 1), got {s}")
-            return {"delta": s}
-        if self.example_id == 2:
-            p2 = 0.5 + self.n_total ** -1.5
-            if not (0.0 <= s < 1.0):
-                raise ParameterError(f"example 2 needs p1 in [0, 1), got {s}")
-            return {"p1": s, "p2": p2}
-        return {"eps": 0.01}
 
 
 def default_scale(example_id) -> float:
@@ -137,32 +122,36 @@ _U_C1 = PiecewiseUniform([-3.0, -2.0], [1.0])
 _U_C2 = PiecewiseUniform([2.0, 3.0], [1.0])
 _TOY_DIM = 12
 _TOY_SHIFT = (3.0, 3.0) + (0.0,) * (_TOY_DIM - 2)
+_TOY_EPS = 0.01
 
 
 def example_model(spec: ExampleSpec) -> tuple[MixtureModel, float]:
-    """Build the analytic (P, Q) pair and its exact TV."""
-    params = spec._derived()
+    """Build the analytic (P, Q) pair and its exact TV, checking the family's parameters."""
+    s = spec.signal()
     if spec.example_id == 0:
-        p = params["p"]
+        p = (1.0 + s) / 2.0
+        if not (0.5 <= p <= 1.0):
+            raise ParameterError(f"example 0 needs p in (0.5, 1], got {p}")
         P = Mixture([p, 1.0 - p], [_U_NEG, _U_POS])
         Q = Mixture([1.0 - p, p], [_U_NEG, _U_POS])
         return MixtureModel(P, Q, "example0"), 2.0 * p - 1.0
     if spec.example_id == 1:
-        d = params["delta"]
-        P = Mixture([1.0 - d, d], [_U_POS, _U_C])
-        Q = _U_POS
-        return MixtureModel(P, Q, "example1"), d
+        if not (0.0 <= s < 1.0):
+            raise ParameterError(f"example 1 needs delta in [0, 1), got {s}")
+        P = Mixture([1.0 - s, s], [_U_POS, _U_C])
+        return MixtureModel(P, _U_POS, "example1"), s
     if spec.example_id == 2:
-        p1, p2 = params["p1"], params["p2"]
+        p1, p2 = s, 0.5 + spec.n_total ** -1.5
+        if not (0.0 <= p1 < 1.0):
+            raise ParameterError(f"example 2 needs p1 in [0, 1), got {p1}")
         P = Mixture([p1, (1 - p1) * p2, (1 - p1) * (1 - p2)], [_U_C1, _U_NEG, _U_POS])
         Q = Mixture([p1, (1 - p1) * p2, (1 - p1) * (1 - p2)], [_U_C2, _U_POS, _U_NEG])
         return MixtureModel(P, Q, "example2"), p1 + (1 - p1) * (2 * p2 - 1)
-    eps = params["eps"]
     base = ProductDensity([Gaussian(0.0, 1.0) for _ in range(_TOY_DIM)])
     bump = ProductDensity([Gaussian(mu, 1.0) for mu in _TOY_SHIFT])
-    Q = Mixture([1.0 - eps, eps], [base, bump])
-    lam = eps * (2.0 * float(_phi(math.sqrt(sum(mu ** 2 for mu in _TOY_SHIFT)) / 2.0)) - 1.0)
-    return MixtureModel(base, Q, "toy"), lam
+    Q = Mixture([1.0 - _TOY_EPS, _TOY_EPS], [base, bump])
+    shift = math.sqrt(sum(mu ** 2 for mu in _TOY_SHIFT))
+    return MixtureModel(base, Q, "toy"), _TOY_EPS * (2.0 * float(_phi(shift / 2.0)) - 1.0)
 
 
 def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float]:

@@ -29,7 +29,6 @@ from hplb import (
     RngStream,
     bayes_projection,
     binom_quantile,
-    BinomialParams,
     bounding_operation,
     decompose,
     gen_example,
@@ -185,8 +184,8 @@ def test_criterion_5_witness_machinery():
     delta = 0.2
     model = MixtureModel(Mixture([1 - delta, delta], [U_POS, U_C]), U_POS)
     m = n_cls = 300
-    bar_p = binom_quantile(1 - 1e-6, BinomialParams(delta, m))
-    bar_q = binom_quantile(1 - 1e-6, BinomialParams(delta, n_cls))
+    bar_p = binom_quantile(1 - 1e-6, delta, m)
+    bar_q = binom_quantile(1 - 1e-6, delta, n_cls)
     j = (m + n_cls - bar_p - bar_q) // 2
     reduced_pop = m + n_cls - bar_p - bar_q
     reduced_succ = m - bar_p

@@ -15,7 +15,6 @@ from hplb import (
     band_constant,
     beta_threshold,
     binom_quantile,
-    BinomialParams,
     bounding,
     build_counting_path,
     counting,
@@ -407,5 +406,5 @@ def test_quantile_convention_shared_with_envelope():
     m, n = 120, 80
     lam = 0.22
     spec = ANALYTIC
-    q_m = binom_quantile(1 - spec.alpha / 3, BinomialParams(lam, m))
+    q_m = binom_quantile(1 - spec.alpha / 3, lam, m)
     assert effective_sizes(lam, m, n, spec).q_m == q_m

@@ -122,6 +122,36 @@ def test_powergrid_without_replications_exits_2(reps):
     assert proc.stdout == ""
 
 
+_ESTIMATE = ("estimate", "--input", str(DATA / "two_sample_mirrored.csv"), "--method", "adapt")
+_POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_POWERGRID, "--gammas=-0.5,abc", "--ns", "100"),
+    (*_POWERGRID, "--gammas=-0.5", "--ns", "100.5"),
+    ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "0.5,x"),
+    ("simulate", "--example", "toy", "--n", "100", "--c", "0.1"),
+    ("simulate", "--example", "toy", "--n", "100", "--gamma", "-0.5"),
+    ("level", "--example", "toy", "--n", "100", "--method", "c", "--c", "0.9"),
+    (*_ESTIMATE, "--alpha", "1.5"),
+    (*_ESTIMATE, "--sims", "50"),
+    ("level", "--example", "1", "--n", "100", "--method", "c", "--reps", "0"),
+    ("estimate", "--input", str(DATA), "--method", "bayes"),
+], ids=["gamma-list", "ns-list", "splits-list", "toy-c", "toy-gamma", "toy-level-c",
+        "alpha", "sims", "reps", "unreadable-input"])
+def test_usage_errors_exit_2(capsys, argv):
+    # a malformed or meaningless input is a usage error, never an internal one
+    from hplb import cli
+
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    stderr = capsys.readouterr().err
+    assert code == 2, stderr
+    assert "internal error" not in stderr
+
+
 def test_level_command(tmp_path):
     proc = run(
         "level", "--example", "1", "--n", "300", "--c", "0.2", "--method", "bayes",

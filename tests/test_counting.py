@@ -268,6 +268,30 @@ class TestSimulatedBand:
         assert T[983] < T[984]
         assert const.c == T[984]
 
+    @pytest.mark.parametrize("draw", ["stored", "over_budget"])
+    @pytest.mark.parametrize("removed", [(0, 0), (6, 4)])
+    @pytest.mark.parametrize("drawn_before", [False, True])
+    def test_stream_constant_is_the_band_records(self, monkeypatch, draw, removed,
+                                                 drawn_before):
+        # on the stream that band_constant derives for its key, the function
+        # gives the key's constant and shares its draw, whatever the stream
+        # has drawn already; small chunks split the draw into three
+        alpha, m_eff, n_eff, sims, seed = 0.05 / 3, 30, 25, 300, 7
+        m, n = m_eff + removed[0], n_eff + removed[1]
+        monkeypatch.setattr(counting, "_CHUNK_IDS", (m + n) * 100)
+        if draw == "over_budget":
+            monkeypatch.setattr(counting, "_DRAW_BUDGET", 0)
+        rng = RngStream(seed, 0, ("null-band", m, n, sims, round(alpha, 12)))
+        if drawn_before:
+            rng.random(5)
+        counting.clear_band_cache()
+        got = simulate_null_sup_quantile(alpha, m_eff, n_eff, sims, rng, removed)
+        want = band_constant(alpha, m_eff, n_eff, "simulated", sims, seed, removed)
+        assert counting._stored_draw.cache_info().misses == (draw == "stored")
+        counting.clear_band_cache()
+        assert (got.c, got.kind, got.m_eff, got.n_eff, got.sims) == (
+            want.c, want.kind, want.m_eff, want.n_eff, want.sims)
+
 
 class TestCoupledDraw:
     @pytest.mark.parametrize("removed", [(2, 1), (0, 0), (3, 2)])
@@ -310,7 +334,7 @@ class TestCoupledDraw:
         ids = np.broadcast_to(np.arange(N, dtype=dtype), (sims, N)).copy()
         RngStream(13, 0, ("draw",)).generator.permuted(ids, axis=1, out=ids)
         counting.clear_band_cache()
-        chunks = list(counting._null_draw(RngStream(13, 0, ("draw",)), N, sims))
+        chunks = list(counting._null_draw(RngStream(13, 0, ("draw",)).identity, N, sims))
         assert counting._stored_draw.cache_info().currsize == (draw == "stored")
         assert all(chunk.dtype == dtype for chunk in chunks)
         assert np.concatenate(chunks).tobytes() == ids.tobytes()
@@ -333,7 +357,7 @@ class TestCoupledDraw:
         counting.clear_band_cache()
         assert counting._stored_draw.cache_info().currsize == 0
         reverse = constants(keys[::-1])
-        stored = counting._null_draw(RngStream(5, 0, ("direct",)), 85, 300)
+        stored = counting._null_draw(RngStream(5, 0, ("direct",)).identity, 85, 300)
         monkeypatch.setattr(counting, "_DRAW_BUDGET", 85 * 300 * 2 - 1)
         counting.clear_band_cache()
         redrawn = constants(keys)
@@ -342,7 +366,7 @@ class TestCoupledDraw:
         # the draw restarts a stream from its identity, on either path
         used = RngStream(5, 0, ("direct",))
         used.random(3)
-        redraw = list(counting._null_draw(used, 85, 300))
+        redraw = list(counting._null_draw(used.identity, 85, 300))
         assert len(redraw) == len(stored) == 5
         assert all(np.array_equal(a, b) for a, b in zip(redraw, stored))
         counting.clear_band_cache()

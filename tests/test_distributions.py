@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 from scipy.special import bdtr
 
-from hplb import BinomialParams, ParameterError, binom_quantile, normal_quantile
+from hplb import ParameterError, binom_quantile, normal_quantile
 
 
 def exact_binom_cdf(p_frac: Fraction, m: int):
@@ -31,32 +31,31 @@ def exact_quantile(alpha: Fraction, p_frac: Fraction, m: int) -> int:
 class TestBinomQuantile:
     def test_half_mass_at_zero(self):
         # CDF(0) = 0.5 already reaches level 0.5
-        assert binom_quantile(0.5, BinomialParams(0.5, 1)) == 0
+        assert binom_quantile(0.5, 0.5, 1) == 0
 
     def test_degenerate_zero_probability(self):
-        assert binom_quantile(0.99, BinomialParams(0.0, 50)) == 0
+        assert binom_quantile(0.99, 0.0, 50) == 0
 
     def test_frozen_example_against_exact_oracle(self):
         # oracle: exact_quantile(0.975, 1/2, 100) == 60
         assert exact_quantile(Fraction(975, 1000), Fraction(1, 2), 100) == 60
-        assert binom_quantile(0.975, BinomialParams(0.5, 100)) == 60
+        assert binom_quantile(0.975, 0.5, 100) == 60
 
     def test_effective_size_workhorse_value(self):
         # the 1 - 0.05/3 quantile of Binomial(0.2, 500); exact oracle gives 119
         level = Fraction(1) - Fraction(5, 300)
         assert exact_quantile(level, Fraction(1, 5), 500) == 119
-        assert binom_quantile(1 - 0.05 / 3, BinomialParams(0.2, 500)) == 119
+        assert binom_quantile(1 - 0.05 / 3, 0.2, 500) == 119
 
     def test_invalid_alpha(self):
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ParameterError):
-                binom_quantile(bad, BinomialParams(0.5, 10))
+                binom_quantile(bad, 0.5, 10)
 
     def test_invalid_params(self):
-        with pytest.raises(ParameterError):
-            BinomialParams(1.2, 10)
-        with pytest.raises(ParameterError):
-            BinomialParams(0.5, -1)
+        for p, m in ((math.nan, 10), (1.2, 10), (0.5, -1), (0.5, 10.5)):
+            with pytest.raises(ParameterError):
+                binom_quantile(0.5, p, m)
 
     @pytest.mark.parametrize("m", [1, 10, 100])
     def test_monotone_in_alpha_and_p_with_bracket(self, m):
@@ -65,7 +64,7 @@ class TestBinomQuantile:
         for p in ps:
             prev_q = 0
             for a in alphas:
-                q = binom_quantile(float(a), BinomialParams(float(p), m))
+                q = binom_quantile(float(a), float(p), m)
                 assert q >= prev_q
                 prev_q = q
                 # quantile bracket: CDF(q-1) < alpha <= CDF(q)
@@ -75,7 +74,7 @@ class TestBinomQuantile:
         for a in (0.05, 0.5, 0.95):
             prev_q = -1
             for p in ps:
-                q = binom_quantile(a, BinomialParams(float(p), m))
+                q = binom_quantile(a, float(p), m)
                 assert q >= prev_q
                 prev_q = q
 
@@ -86,12 +85,12 @@ class TestBinomQuantile:
                 cdf = exact_binom_cdf(p_frac, m)
                 for a in (Fraction(5, 100), Fraction(1, 2), Fraction(95, 100)):
                     expected = next(k for k, c in enumerate(cdf) if c >= a)
-                    got = binom_quantile(float(a), BinomialParams(float(p_frac), m))
+                    got = binom_quantile(float(a), float(p_frac), m)
                     assert got == expected
 
     def test_large_m_log_space_path(self):
         # m = 10^5 exercises the search far out in the trial count
-        q = binom_quantile(0.95, BinomialParams(0.15, 100_000))
+        q = binom_quantile(0.95, 0.15, 100_000)
         approx = 0.15 * 100_000 + 1.6448536 * math.sqrt(100_000 * 0.15 * 0.85)
         assert abs(q - approx) < 3.0
 

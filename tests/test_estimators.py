@@ -22,7 +22,7 @@ from hplb import (
 )
 from hplb.bounding import effective_sizes, is_violated
 from hplb.counting import build_counting_path
-from hplb.distributions import BinomialParams, binom_quantile
+from hplb.distributions import binom_quantile
 from hplb.estimators import adapt_from_path
 from scipy.special import betaincinv
 from conftest import separated_scores
@@ -232,7 +232,7 @@ def _exhaustive_scan(path, spec):
         mid = float((left + right) / 2.0)
         for size, lim in limits.items():
             count = int(np.count_nonzero(lim < mid))
-            assert binom_quantile(level, BinomialParams(mid, size)) == count
+            assert binom_quantile(level, mid, size) == count
         refuted.append(is_violated(path, mid, spec)[0])
     return points[:-1], np.array(refuted)
 

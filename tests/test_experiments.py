@@ -38,8 +38,10 @@ class TestExampleSpec:
 
     @pytest.mark.parametrize("example_id,scale", [(0, 1.0), (1, 1.0), (2, 2.0), ("toy", 1.0)])
     def test_default_scale(self, example_id, scale):
-        # the README's documented defaults: c = 2 for example 2, c = 1 otherwise
-        assert ExampleSpec(example_id, 1000, gamma=-0.5).c == scale
+        # the README's documented defaults: c = 2 for example 2, c = 1 otherwise;
+        # the toy takes no gamma
+        gamma = None if example_id == "toy" else -0.5
+        assert ExampleSpec(example_id, 1000, gamma=gamma).c == scale
 
     def test_example0_rate_parameterization(self):
         # lambda = N^gamma at c = 1

@@ -18,7 +18,6 @@ from hplb import (
     RngStream,
     bayes_projection,
     binom_quantile,
-    BinomialParams,
     bounding_operation,
     build_counting_path,
     decompose,
@@ -285,7 +284,7 @@ class TestQuantileGapRate:
         # (m p - q_{0.95}((1-eps) p, m)) / (m p eps) stays within [0.5, 1.5]
         p, eps = 0.3, 0.5
         for m in (100, 1000, 10_000, 100_000):
-            q = binom_quantile(0.95, BinomialParams((1 - eps) * p, m))
+            q = binom_quantile(0.95, (1 - eps) * p, m)
             ratio = (m * p - q) / (m * p * eps)
             assert 0.5 <= ratio <= 1.5, f"m={m}: {ratio}"
 
@@ -332,8 +331,8 @@ class TestBoundingOperation:
         delta = 0.2
         model = MixtureModel(Mixture([1 - delta, delta], [U_POS, U_C]), U_POS)
         m = n = 150
-        bar_p = binom_quantile(1 - 0.01, BinomialParams(delta, m)) + 8
-        bar_q = binom_quantile(1 - 0.01, BinomialParams(delta, n)) + 8
+        bar_p = binom_quantile(1 - 0.01, delta, m) + 8
+        bar_q = binom_quantile(1 - 0.01, delta, n) + 8
         rng = RngStream(42, 0)
         for rep in range(200):
             labels, witness = _sorted_witness_sample(model, m, n, rng.child("rep", rep))
