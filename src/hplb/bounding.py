@@ -124,7 +124,7 @@ def is_violated(path: CountingPath, lambda_tilde: float, spec: BoundSpec):
     if sizes.m_eff == 0 or sizes.n_eff == 0:
         return False, None
     reduced = path.v[sizes.q_m:m + sizes.n_eff - 1] - sizes.q_m
-    (stat,) = _normalized_paths([reduced], sizes.m_eff, sizes.n_eff)
+    stat = _normalized_paths(reduced, sizes.m_eff, sizes.n_eff)
     k = int(np.argmax(stat))
     if exceeds_band(float(stat[k]), **_band_key(sizes, spec)):
         return True, sizes.q_m + 1 + k

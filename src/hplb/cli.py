@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import io as hio
@@ -70,12 +71,16 @@ def _bound_spec(args) -> BoundSpec:
     return BoundSpec(alpha=args.alpha, band_kind=args.band, sims=args.sims, seed=args.seed)
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _float_list(text, kind=float):
+    """The comma-separated entries of `text` as `kind`; an empty or non-finite one is an error."""
+    values = [kind(v) if v.strip() else math.nan for v in text.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"need finite comma-separated numbers, got {text!r}")
+    return values
 
 
 def _int_list(text):
-    return [int(v) for v in text.split(",") if v.strip()]
+    return _float_list(text, int)
 
 
 def _build_parser():

@@ -233,23 +233,26 @@ class BandConstant:
 
 
 def _mean_and_scale(m_eff: int, n_eff: int):
-    """The null mean line z m_eff/N_eff and the scale w(z, m_eff, n_eff), z = 1..N_eff-1."""
+    """The null mean line z m_eff/N_eff and the memoized w(z, m_eff, n_eff), z = 1..N_eff-1."""
     N_eff = m_eff + n_eff
-    z = np.arange(1.0, N_eff)
-    return z * (m_eff / N_eff), w_scale(z, m_eff, n_eff)
+    return np.arange(1.0, N_eff) * (m_eff / N_eff), _scale_grids(m_eff, n_eff)
 
 
-def _normalized_paths(chunks, m_eff: int, n_eff: int):
-    """Yield (V[z] - z m_eff/N_eff) / w(z, m_eff, n_eff), z = 1..N_eff-1, per chunk.
+def _scale_grid(m_eff: int, n_eff: int) -> np.ndarray:
+    w = w_scale(np.arange(1.0, m_eff + n_eff), m_eff, n_eff)
+    w.setflags(write=False)
+    return w
 
-    Each chunk holds counting paths V at sizes (m_eff, n_eff), one per row
-    (or a single 1-D path); the mean line and the scale are computed once.
+
+def _normalized_paths(V, m_eff: int, n_eff: int) -> np.ndarray:
+    """(V[z] - z m_eff/N_eff) / w(z, m_eff, n_eff), z = 1..N_eff-1.
+
+    V is a counting path at sizes (m_eff, n_eff), or holds one per row.
     """
     mean, wv = _mean_and_scale(m_eff, n_eff)
-    for V in chunks:
-        X = V - mean
-        X /= wv
-        yield X
+    X = np.subtract(V, mean, out=mean if V.ndim == 1 else None)  # a fresh mean line
+    X /= wv
+    return X
 
 
 def _rank(alpha: float, m_eff: int, n_eff: int, sims: int, removed: tuple) -> int:
@@ -365,7 +368,7 @@ def _sup_statistics(chunks, m_eff: int, n_eff: int, removed: tuple):
         return _word_sups(flags, m_eff, n_eff)
     dtype = np.int16 if m_eff < 1 << 15 else np.int32
     paths = (np.cumsum(f[:, :-1], axis=1, dtype=dtype) for f in flags)
-    return (X.max(axis=1) for X in _normalized_paths(paths, m_eff, n_eff))
+    return (_normalized_paths(V, m_eff, n_eff).max(axis=1) for V in paths)
 
 
 # Rows of at least _WORD_MIN ids take the word kernel; on shorter rows a
@@ -440,9 +443,10 @@ def band_value(const: BandConstant, z):
 
 
 def clear_band_cache() -> None:
-    """Empty the band-record, null-draw and binomial-quantile memos."""
+    """Empty the band-record, null-draw, scale-grid and binomial-quantile memos."""
     _band_records.cache_clear()
     _stored_draw.cache_clear()
+    _scale_grids.cache_clear()
     _binom_quantile.cache_clear()
 
 
@@ -607,3 +611,6 @@ _band_records = _BoundedMemo(_BandRecord, MEMO_SIZE)
 _stored_draw = _BoundedMemo(
     lambda identity, N, sims: tuple(_draw_rows(RngStream(*identity), N, sims)), 1
 )
+# A level study's verdicts reuse a few dozen (m_eff, n_eff) keys, replication after
+# replication.  At most 64 x 8 x N_eff bytes: 2 MB at N_eff = 4000, 51 MB at 1e5.
+_scale_grids = _BoundedMemo(_scale_grid, 64)

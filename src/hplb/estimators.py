@@ -173,7 +173,8 @@ def adapt_from_path(path: CountingPath, spec: BoundSpec) -> HPLBResult:
     def verdict(lam: float):
         # the (q_m, q_n) of `effective_sizes`, read from the quantile memo;
         # every lam here lies in [0, 1), and the memo maps p = 0 to 0
-        key = (_binom_quantile(level, lam, path.m), _binom_quantile(level, lam, path.n))
+        q_m = _binom_quantile(level, lam, path.m)
+        key = (q_m, q_m if path.n == path.m else _binom_quantile(level, lam, path.n))
         if key not in verdicts:
             verdicts[key] = is_violated(path, lam, spec)
         return verdicts[key]

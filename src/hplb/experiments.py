@@ -81,6 +81,7 @@ class ExampleSpec:
     gamma: float | None = None
     c: float | None = None
     pi: float = 0.5
+    _model: tuple = field(init=False, repr=False, compare=False)  # example_model(self)
 
     def __post_init__(self):
         if self.example_id not in (0, 1, 2, "toy"):
@@ -97,7 +98,7 @@ class ExampleSpec:
             raise ParameterError("scale constant must be nonnegative")
         if not (0.0 < self.pi < 1.0):
             raise ParameterError("class balance must lie in (0, 1)")
-        example_model(self)  # checks the family's own parameters
+        object.__setattr__(self, "_model", example_model(self))  # checks the family's parameters
 
     def class_sizes(self) -> tuple[int, int]:
         """(m, n) = (floor(pi N), N - m): draws from P, then from Q."""
@@ -156,7 +157,7 @@ def example_model(spec: ExampleSpec) -> tuple[MixtureModel, float]:
 
 def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float]:
     """Draw m = floor(pi N) points from P and the rest from Q, scored by rho*."""
-    model, lam = example_model(spec)
+    model, lam = spec._model
     m, n = spec.class_sizes()
     xs = model.p.sample(m, rng.child("sample-p"))
     ys = model.q.sample(n, rng.child("sample-q"))
@@ -193,7 +194,7 @@ def run_level_study(
     # standard deviation is computed once, before any replication runs
     sigma = None
     if method == "oracle_t":
-        sigma = sigma_true(example_model(spec)[0], 0.5, *spec.class_sizes())
+        sigma = sigma_true(spec._model[0], 0.5, *spec.class_sizes())
 
     def one(i):
         data, lam = gen_example(spec, rng.child("rep", i))
@@ -342,6 +343,8 @@ def split_scan(
     if t_index.shape != scores.shape or t_index.ndim != 1:
         raise ParameterError("t_index and scores must be 1-D arrays of equal length")
     splits = list(splits)
+    if not splits or any(math.isnan(s) for s in splits):
+        raise ParameterError(f"splits must be a nonempty list of numbers, got {splits}")
     if sorted(splits) != splits:
         raise ParameterError("splits must be increasing")
     bounds, sizes, skipped = [], [], []

@@ -19,6 +19,7 @@ simulation study needs is available in closed or quadrature form:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,7 +74,9 @@ class PiecewiseUniform:
             raise ParameterError(f"density must integrate to 1, got {total}")
         self.breaks = breaks
         self.heights = heights
-        self._cum = np.concatenate([[0.0], np.cumsum(heights * np.diff(breaks))])
+        self._widths = np.diff(breaks)
+        self._cum = np.concatenate([[0.0], np.cumsum(heights * self._widths)])
+        self._mass = np.diff(self._cum)
         # cell k + 1 of the padded heights is cell k; the outer ones are zero.
         # The last edge is moved up one double so that x = breaks[-1], the
         # right edge, falls in the last cell.
@@ -94,10 +97,13 @@ class PiecewiseUniform:
 
     def sample(self, count, rng: RngStream):
         u = rng.random(count)
-        idx = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0, len(self.heights) - 1)
-        width_mass = self._cum[idx + 1] - self._cum[idx]
-        frac = np.where(width_mass > 0, (u - self._cum[idx]) / np.where(width_mass > 0, width_mass, 1.0), 0.0)
-        return self.breaks[idx] + frac * (self.breaks[idx + 1] - self.breaks[idx])
+        idx = np.searchsorted(self._cum, u, side="right") - 1  # >= 0: _cum[0] = 0 <= u
+        np.minimum(idx, len(self.heights) - 1, out=idx)
+        mass = self._mass[idx]
+        frac = np.divide(u - self._cum[idx], mass, out=np.zeros(count), where=mass > 0)
+        frac *= self._widths[idx]
+        frac += self.breaks[idx]
+        return frac
 
     def support(self):
         return float(self.breaks[0]), float(self.breaks[-1])
@@ -175,7 +181,7 @@ class Mixture:
     def sample(self, count, rng: RngStream):
         u = rng.random(count)
         comp = np.searchsorted(self._cumw, u, side="right")
-        comp = np.clip(comp, 0, len(self.components) - 1)
+        np.minimum(comp, len(self.components) - 1, out=comp)
         if self.dim == 1:
             out = np.empty(count, dtype=float)
         else:
@@ -289,6 +295,22 @@ class MixtureModel:
     @property
     def dim(self) -> int:
         return self.p.dim
+
+    @functools.cached_property
+    def _score_table(self):
+        """`bayes_projection`'s (edges, values), or () unless P and Q are piecewise uniform.
+
+        Every leaf's pdf is constant between consecutive edges (the breakpoints
+        and the doubles just above them), so the score at z is the formula at
+        its interval's left end, or at -inf: values[searchsorted(edges, z, "right")].
+        """
+        fp, fq = _flatten_piecewise(self.p), _flatten_piecewise(self.q)
+        if fp is None or fq is None:
+            return ()
+        breaks = np.concatenate([fp[0], fq[0]])
+        edges = np.unique(np.append(breaks, np.nextafter(breaks, np.inf)))
+        left = np.append(-np.inf, edges)
+        return edges, _posterior(self.p.pdf(left), self.q.pdf(left))
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +521,21 @@ def bayes_projection(model: MixtureModel, z):
     """Posterior probability of the second sample, g/(f + g).
 
     Where f + g = 0 the value is 1/2 by convention (immaterial under either
-    law).
+    law).  A piecewise-uniform pair reads them from a table (README.md, Notes,
+    "The Bayes score of a piecewise-uniform model is a table").
     """
-    f = np.asarray(model.p.pdf(z), dtype=float)
-    g = np.asarray(model.q.pdf(z), dtype=float)
-    den = f + g
-    out = np.full(den.shape, 0.5)
-    pos = den > 0
-    out[pos] = g[pos] / den[pos]
+    if model._score_table:
+        edges, values = model._score_table
+        out = values.take(np.searchsorted(edges, np.asarray(z, dtype=float), side="right"))
+    else:
+        out = _posterior(model.p.pdf(z), model.q.pdf(z))
     return float(out) if out.ndim == 0 else out
+
+
+def _posterior(f, g) -> np.ndarray:
+    """g/(f + g) from the densities' values, 1/2 where f + g = 0."""
+    den = f + g
+    return np.where(den > 0, g / np.where(den > 0, den, 1.0), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +617,7 @@ def _score_regions(model: MixtureModel, t: float):
         mids = 0.5 * (xs[1:] + xs[:-1])
         f, g = model.p.pdf(mids), model.q.pdf(mids)
         f_mass, g_mass, scale = f, g, xs[1] - xs[0]
-    sel = np.where(f + g > 0, g / np.where(f + g > 0, f + g, 1.0), 0.5) <= t
+    sel = _posterior(f, g) <= t
     return float(np.sum(f_mass[sel]) * scale), float(np.sum(g_mass[sel]) * scale)
 
 

@@ -1,15 +1,19 @@
 """Counter-based random streams keyed by (root_seed, stream_id).
 
 Every source of randomness in this package flows through an RngStream.
-Streams are cheap to construct and value-semantic: the same
-(root_seed, stream_id, tags) triple reproduces the same draw sequence on
-every platform, independent of how many other streams were used before.
-Each replication gets its own stream, so its draw does not depend on the
-replications run before it.
+Streams are value-semantic: the same (root_seed, stream_id, tags) triple
+reproduces the same draw sequence on every platform, independent of how
+many other streams were used before.  Each replication gets its own
+stream, so its draw does not depend on the replications run before it.
+
+A stream keys and builds its Philox generator at its first draw, so one
+that only forks children, as a level study's per-replication stream does,
+never pays for one; the key depends on the identity alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -44,9 +48,6 @@ class RngStream:
         self.root_seed = int(root_seed)
         self.stream_id = int(stream_id)
         self._tags = tuple(_tags)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=_philox_key(self.root_seed, self.stream_id, self._tags))
-        )
 
     def child(self, *tags) -> "RngStream":
         """Fork an independent stream; `tags` name the sub-purpose.
@@ -56,9 +57,9 @@ class RngStream:
         """
         return RngStream(self.root_seed, self.stream_id, self._tags + tuple(tags))
 
-    @property
+    @functools.cached_property
     def generator(self) -> np.random.Generator:
-        return self._gen
+        return np.random.Generator(np.random.Philox(key=_philox_key(*self.identity)))
 
     @property
     def identity(self) -> tuple:
@@ -68,16 +69,16 @@ class RngStream:
     # Thin passthroughs used throughout the package.
 
     def random(self, size=None):
-        return self._gen.random(size)
+        return self.generator.random(size)
 
     def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
+        return self.generator.integers(low, high, size=size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
+        return self.generator.normal(loc, scale, size)
 
     def choice(self, a, size=None, replace=True):
-        return self._gen.choice(a, size=size, replace=replace)
+        return self.generator.choice(a, size=size, replace=replace)
 
     def __repr__(self):
         return f"RngStream(root_seed={self.root_seed}, stream_id={self.stream_id}, tags={self._tags})"

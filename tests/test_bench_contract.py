@@ -136,6 +136,27 @@ def test_traced_layers_still_record_spans(tracer, kind):
         assert name in spans, f"{name} records no span"
 
 
+def test_traced_data_generation_records_spans(tracer):
+    # the per-layer metrics of experiments and mixtures come from these
+    # spans; a fast path round gen_example, bayes_projection or a sampler
+    # would leave them reading 0
+    from hplb import BoundSpec, ExampleSpec, RngStream, experiments
+
+    reps = 100
+    names = {module for module, _, _ in tracer.CALL_SITES} | {"hplb.experiments"}
+    traced = tracer.Tracer()
+    traced.install({name: importlib.import_module(name) for name in names})
+    try:
+        experiments.run_level_study(ExampleSpec(1, 400, c=0.1), "adapt", reps, RngStream(5),
+                                    BoundSpec(0.05, "analytic"))
+    finally:
+        traced.uninstall()
+    spans = [name for _, _, name, *_ in traced.spans]
+    assert spans.count("experiments.gen_example") == reps
+    assert spans.count("mixtures.bayes_projection") == 2 * reps
+    assert spans.count("mixtures.sample") >= 2 * reps
+
+
 # Public names that nothing in src/, demos/ or bench/ uses, each kept for a
 # stated reason.  Every other public name must have a use there: the north
 # star allows no library code that only tests call.

@@ -130,6 +130,10 @@ _POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
     (*_POWERGRID, "--gammas=-0.5,abc", "--ns", "100"),
     (*_POWERGRID, "--gammas=-0.5", "--ns", "100.5"),
     ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "0.5,x"),
+    ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", ","),
+    ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "0.5,,0.7"),
+    ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "nan"),
+    (*_POWERGRID, "--gammas=-0.5", "--ns", ","),
     ("simulate", "--example", "toy", "--n", "100", "--c", "0.1"),
     ("simulate", "--example", "toy", "--n", "100", "--gamma", "-0.5"),
     ("level", "--example", "toy", "--n", "100", "--method", "c", "--c", "0.9"),
@@ -137,7 +141,8 @@ _POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
     (*_ESTIMATE, "--sims", "50"),
     ("level", "--example", "1", "--n", "100", "--method", "c", "--reps", "0"),
     ("estimate", "--input", str(DATA), "--method", "bayes"),
-], ids=["gamma-list", "ns-list", "splits-list", "toy-c", "toy-gamma", "toy-level-c",
+], ids=["gamma-list", "ns-list", "splits-list", "splits-none", "splits-empty-entry",
+        "splits-nan", "ns-none", "toy-c", "toy-gamma", "toy-level-c",
         "alpha", "sims", "reps", "unreadable-input"])
 def test_usage_errors_exit_2(capsys, argv):
     # a malformed or meaningless input is a usage error, never an internal one

@@ -178,6 +178,29 @@ class TestWScale:
             assert w_scale(7, m, n) == want[6]
 
 
+class TestScaleGrid:
+    """The mean line and scale grid that verdicts and null statistics share."""
+
+    def test_grid_is_the_formula_at_every_z(self):
+        for m, n in [(10, 10), (3, 997), (2000, 2000), (12345, 678)]:
+            N = m + n
+            z = np.arange(1.0, N)
+            mean, w = counting._mean_and_scale(m, n)
+            assert np.array_equal(w.view(np.int64), w_scale(z, m, n).view(np.int64))
+            assert np.array_equal(mean.view(np.int64), (z * (m / N)).view(np.int64))
+
+    def test_grid_is_memoized_read_only_and_cleared_with_the_band_memo(self):
+        counting.clear_band_cache()
+        _, w = counting._mean_and_scale(40, 60)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert counting._mean_and_scale(40, 60)[1] is w
+        counting.clear_band_cache()
+        again = counting._mean_and_scale(40, 60)[1]
+        assert again is not w and np.array_equal(again, w)
+
+
 class TestBetaThreshold:
     def test_frozen_value(self):
         # independent oracle: 50-digit evaluation of the closed form gives

@@ -189,6 +189,75 @@ class TestProjections:
         assert bayes_projection(example0_model(0.7), 5.0) == 0.5
 
 
+def _random_piecewise(rng):
+    """A PiecewiseUniform on 1 to 4 cells of a quarter grid that holds 0.0, some of
+    its heights zero."""
+    cells = int(rng.integers(1, 5))
+    breaks = np.sort(rng.choice(np.linspace(-3.0, 3.0, 25), size=cells + 1, replace=False))
+    heights = rng.exponential(size=cells) * (rng.random(cells) < 0.75)
+    heights[rng.integers(cells)] += 1.0
+    return PiecewiseUniform(breaks, heights / np.sum(heights * np.diff(breaks)))
+
+
+def _random_piecewise_mixture(rng):
+    """A PiecewiseUniform, or a Mixture of up to three of them (one may itself be a
+    Mixture), some weights zero."""
+    if rng.random() < 0.25:
+        return _random_piecewise(rng)
+    k = int(rng.integers(1, 4))
+    parts = [_random_piecewise(rng) for _ in range(k)]
+    if k > 1 and rng.random() < 0.3:
+        parts[0] = Mixture([0.5, 0.5], [parts[0], _random_piecewise(rng)])
+    weights = rng.random(k) * (rng.random(k) < 0.8)
+    weights[0] += 0.1
+    return Mixture(weights / weights.sum(), parts)
+
+
+def _leaf_breaks(d):
+    if isinstance(d, PiecewiseUniform):
+        return list(d.breaks)
+    return [b for c in d.components for b in _leaf_breaks(c)]
+
+
+class TestBayesScoreDoubles:
+    """bayes_projection gives the doubles of g/(f + g), with 1/2 where f + g = 0,
+    at every point of a piecewise-uniform model: edges, their neighbours,
+    signed zeros, infinities and NaN."""
+
+    @staticmethod
+    def _formula(model, z):
+        f = np.asarray(model.p.pdf(z), dtype=float)
+        g = np.asarray(model.q.pdf(z), dtype=float)
+        den = f + g
+        return np.where(den > 0, g / np.where(den > 0, den, 1.0), 0.5)
+
+    def test_random_piecewise_uniform_mixtures(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            model = MixtureModel(_random_piecewise_mixture(rng), _random_piecewise_mixture(rng))
+            edges = np.array(_leaf_breaks(model.p) + _leaf_breaks(model.q))
+            z = np.concatenate([
+                edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                [0.0, -0.0, np.inf, -np.inf, np.nan], rng.uniform(-4.0, 4.0, 200),
+            ])
+            got = bayes_projection(model, z)
+            assert got.shape == z.shape and got.dtype == np.float64
+            assert got.tobytes() == self._formula(model, z).tobytes()
+            grid = z[:6].reshape(2, 3)
+            assert bayes_projection(model, grid).tobytes() == self._formula(model, grid).tobytes()
+            for x in (edges[0], -0.0, np.inf, np.nan, float(z[-1])):
+                value = bayes_projection(model, x)
+                assert isinstance(value, float)
+                assert value.hex() == float(self._formula(model, x)).hex()
+
+    def test_nan_and_outside_points_score_one_half(self):
+        model = example0_model(0.7)
+        assert bayes_projection(model, np.nan) == 0.5
+        assert bayes_projection(model, [-np.inf, np.inf]).tolist() == [0.5, 0.5]
+        assert bayes_projection(model, [-1, 0, 1]).tolist() == bayes_projection(
+            model, np.array([-1.0, 0.0, 1.0])).tolist()
+
+
 class TestProjectionContraction:
     @pytest.mark.parametrize(
         "model",

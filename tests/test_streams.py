@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from hplb import RngStream
+from hplb.streams import _philox_key
 
 
 def test_same_key_same_sequence():
@@ -43,3 +45,33 @@ def test_sibling_children_differ():
     a = parent.child("a").random(100)
     b = parent.child("b").random(100)
     assert not np.array_equal(a, b)
+
+
+def _eager(*identity):
+    return np.random.Generator(np.random.Philox(key=_philox_key(*identity)))
+
+
+def test_a_stream_draws_what_its_philox_key_gives():
+    for identity in [(3, 0, ()), (2 ** 40, 7, ("rep", 5)), (1, 2, ("rep", 3, "sample-p"))]:
+        stream = RngStream(*identity)
+        expect = _eager(*identity)
+        assert np.array_equal(stream.random(64), expect.random(64))
+        assert np.array_equal(stream.integers(0, 2 ** 63 - 1, size=4),
+                              expect.integers(0, 2 ** 63 - 1, size=4))
+        assert np.array_equal(stream.normal(1.0, 2.0, 8), expect.normal(1.0, 2.0, 8))
+
+
+def test_a_child_of_a_stream_that_never_drew_draws_the_same():
+    parent = RngStream(9, 4)
+    child = parent.child("rep", 2)
+    assert child.identity == (9, 4, ("rep", 2))
+    assert np.array_equal(child.random(32), _eager(9, 4, ("rep", 2)).random(32))
+    assert np.array_equal(parent.random(32), _eager(9, 4, ()).random(32))
+    assert parent.generator is parent.generator
+
+
+def test_seeds_are_checked_when_the_stream_is_made():
+    with pytest.raises((TypeError, ValueError)):
+        RngStream("seed")
+    with pytest.raises((TypeError, ValueError)):
+        RngStream(1, None)
