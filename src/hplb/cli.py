@@ -181,7 +181,7 @@ def _cmd_simulate(args):
         "example": args.example,
         "n": args.n,
         "gamma": args.gamma,
-        "c": spec.c,
+        "c": None if spec.example_id == "toy" else spec.c,  # the toy takes no c
         "pi": spec.pi,
         "seed": args.seed,
         "m": data.m,

@@ -82,15 +82,15 @@ class LabeledScores:
         labels = np.asarray(self.labels)
         if scores.ndim != 1 or labels.ndim != 1 or len(scores) != len(labels):
             raise ParameterError("scores and labels must be 1-D arrays of equal length")
-        if not ((labels == 0) | (labels == 1)).all():
+        is1 = labels == 1
+        m, n = int(np.count_nonzero(labels == 0)), int(np.count_nonzero(is1))
+        if m + n != len(labels):
             raise ParameterError("labels must be 0 or 1")
-        if np.isnan(scores).any():
+        if len(scores) and np.isnan(scores.min()):  # min is NaN exactly when a score is
             raise ParameterError("scores must not contain NaN")
-        labels = labels.astype(np.int8)
-        m = int(np.sum(labels == 0))
-        n = int(np.sum(labels == 1))
         if m < 1 or n < 1:
             raise ParameterError(f"both classes must be nonempty, got m={m}, n={n}")
+        labels = is1.view(np.int8)
         scores.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "scores", scores)
@@ -138,34 +138,73 @@ def build_counting_path(data: LabeledScores) -> CountingPath:
     Ties are broken by a uniform random permutation within each tied block
     (seeded by `data.tie_seed`), which preserves exchangeability under the
     null and hence the hypergeometric law of V.  The order is that of
-    `np.lexsort((u, scores))` for uniform keys u, computed by two cheaper
-    sorts wherever they give it (README.md, Notes, "The tie-break order is
-    lexsort's").
+    `np.lexsort((u, scores))` for uniform keys u, computed by one sort of
+    int64 keys wherever they give it (README.md, Notes, "The tie-break
+    order is lexsort's").
     """
-    rng = RngStream(data.tie_seed, 0, ("tie-break",))
-    order = _tie_break_order(data.scores, rng.random(len(data.scores)))
-    v = np.cumsum(data.labels[order] == 0, dtype=np.int64)[:-1]
-    return CountingPath(v=v, m=data.m, n=data.n)
+    u = RngStream(data.tie_seed, 0, ("tie-break",)).random(data.total)
+    v = np.cumsum(_zeros_in_tie_break_order(data.scores, u, data.labels), dtype=np.int64)
+    return CountingPath(v=v[:-1], m=data.m, n=data.n)
 
 
-def _tie_break_order(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`np.lexsort((u, scores))`.
+# `Generator.random` returns k / 2**53 for an integer k below 2**53.
+_U_GRID = 2.0 ** 53
 
-    Up to 2**15 ids with no two equal u: an argsort of u, then a stable
-    argsort (a radix sort) of the int16 score ranks in that order, equal
-    doubles sharing one rank.
+
+def _zeros_in_tie_break_order(scores, u, labels) -> np.ndarray:
+    """The flags label == 0 in the order `np.lexsort((u, scores))`, as 0/1 integers.
+
+    With fewer than 512 distinct scores and every u = k / 2**53, one sort
+    of the int64 keys rank << 54 | k << 1 | (label == 0) gives the order,
+    rank being the score's among the distinct values.  Where two keys share
+    (rank, k), lexsort breaks the tie by index, so `_tie_break_order`
+    decides, as it does for more distinct scores and for u outside [0, 1)
+    or off that grid.
     """
+    ranks, distinct = _score_ranks(scores)
+    if distinct < 512 and u.min() >= 0.0 and u.max() < 1.0:
+        k = u * _U_GRID
+        if (np.floor(k) == k).all():
+            k += k  # 2k, exactly
+            key = ranks.astype(np.int64)
+            key <<= 54
+            key |= k.astype(np.int64)
+            key |= labels == 0
+            key.sort()
+            # keys sharing (rank, k) differ at most in the last bit
+            if len(key) < 2 or np.bitwise_xor(key[1:], key[:-1]).min() > 1:
+                key &= 1
+                return key
+    return labels[_tie_break_order(ranks, u)] == 0
+
+
+def _score_ranks(scores: np.ndarray):
+    """Each score's rank among the distinct values, equal doubles sharing one,
+    and the number of distinct values; the scores are sorted once."""
     N = len(scores)
-    if N > 1 << 15:
-        return np.lexsort((u, scores))
-    by_u = np.argsort(u)
-    if (np.diff(u[by_u]) == 0).any():  # an exact tie in u
-        return np.lexsort((u, scores))
     by_score = np.argsort(scores)
     sorted_scores = scores[by_score]
-    new_value = np.concatenate(([False], sorted_scores[1:] != sorted_scores[:-1]))
-    ranks = np.empty(N, dtype=np.int16)
-    ranks[by_score] = np.cumsum(new_value, dtype=np.int16)
+    new_value = np.empty(N, dtype=bool)
+    new_value[:1] = False
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=new_value[1:])
+    sorted_ranks = np.cumsum(new_value, dtype=np.int16 if N <= 1 << 15 else np.int32)
+    ranks = np.empty_like(sorted_ranks)
+    ranks[by_score] = sorted_ranks
+    return ranks, int(sorted_ranks[-1]) + 1
+
+
+def _tie_break_order(ranks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.lexsort((u, ranks))`, the order of `np.lexsort((u, scores))` for
+    the scores' ranks (`_score_ranks`).
+
+    Up to 2**15 ids with no two equal u: an argsort of u, then a stable
+    argsort (a radix sort) of the int16 ranks in that order.
+    """
+    if len(ranks) > 1 << 15:
+        return np.lexsort((u, ranks))
+    by_u = np.argsort(u)
+    if (np.diff(u[by_u]) == 0).any():  # an exact tie in u
+        return np.lexsort((u, ranks))
     return by_u[np.argsort(ranks[by_u], kind="stable")]
 
 
@@ -233,15 +272,17 @@ class BandConstant:
 
 
 def _mean_and_scale(m_eff: int, n_eff: int):
-    """The null mean line z m_eff/N_eff and the memoized w(z, m_eff, n_eff), z = 1..N_eff-1."""
-    N_eff = m_eff + n_eff
-    return np.arange(1.0, N_eff) * (m_eff / N_eff), _scale_grids(m_eff, n_eff)
+    """The memoized, read-only null mean line z m_eff/N_eff and w(z, m_eff, n_eff), z = 1..N_eff-1."""
+    return _scale_grids(m_eff, n_eff)
 
 
-def _scale_grid(m_eff: int, n_eff: int) -> np.ndarray:
-    w = w_scale(np.arange(1.0, m_eff + n_eff), m_eff, n_eff)
+def _scale_grid(m_eff: int, n_eff: int):
+    z = np.arange(1.0, m_eff + n_eff)
+    w = w_scale(z, m_eff, n_eff)
+    z *= m_eff / (m_eff + n_eff)
+    z.setflags(write=False)
     w.setflags(write=False)
-    return w
+    return z, w
 
 
 def _normalized_paths(V, m_eff: int, n_eff: int) -> np.ndarray:
@@ -250,7 +291,7 @@ def _normalized_paths(V, m_eff: int, n_eff: int) -> np.ndarray:
     V is a counting path at sizes (m_eff, n_eff), or holds one per row.
     """
     mean, wv = _mean_and_scale(m_eff, n_eff)
-    X = np.subtract(V, mean, out=mean if V.ndim == 1 else None)  # a fresh mean line
+    X = np.subtract(V, mean)
     X /= wv
     return X
 
@@ -611,6 +652,9 @@ _band_records = _BoundedMemo(_BandRecord, MEMO_SIZE)
 _stored_draw = _BoundedMemo(
     lambda identity, N, sims: tuple(_draw_rows(RngStream(*identity), N, sims)), 1
 )
-# A level study's verdicts reuse a few dozen (m_eff, n_eff) keys, replication after
-# replication.  At most 64 x 8 x N_eff bytes: 2 MB at N_eff = 4000, 51 MB at 1e5.
-_scale_grids = _BoundedMemo(_scale_grid, 64)
+# A level study's verdicts reuse about a hundred (m_eff, n_eff) keys, replication
+# after replication.  A key's two grids take 16 (N_eff - 1) bytes, and the memo
+# keeps at most _GRID_BUDGET of them: 49 keys at N_eff = 4000, one at 1e5.
+_GRID_BUDGET = 3 << 20
+_scale_grids = _BoundedMemo(_scale_grid, _GRID_BUDGET,
+                            cost=lambda m_eff, n_eff: 16 * (m_eff + n_eff - 1))

@@ -34,17 +34,21 @@ _MISSING = object()
 
 
 class _BoundedMemo:
-    """Memo of `fn` that keeps at most `maxsize` entries.
+    """Memo of `fn` whose entries cost at most `maxsize` in all.
 
-    A failed computation stores nothing.  The oldest entry makes room for
-    a new one, evicted when the miss starts so that a large entry is freed
-    before its successor is built.
+    An entry costs `cost(*key)`, 1 unless given, so by default `maxsize`
+    counts entries.  A failed computation stores nothing, and neither does
+    one whose entry alone costs more than `maxsize`.  The oldest entries
+    make room for a new one, evicted when the miss starts so that a large
+    entry is freed before its successor is built.
     """
 
-    def __init__(self, fn, maxsize: int):
+    def __init__(self, fn, maxsize: int, cost=lambda *key: 1):
         self._fn = fn
         self._maxsize = maxsize
+        self._cost = cost
         self._entries = {}
+        self._used = 0
         self._misses = 0
 
     def __call__(self, *key):
@@ -52,9 +56,15 @@ class _BoundedMemo:
         if value is not _MISSING:
             return value
         self._misses += 1
-        while len(self._entries) >= self._maxsize:
-            del self._entries[next(iter(self._entries))]
+        cost = self._cost(*key)
+        if cost > self._maxsize:
+            return self._fn(*key)
+        while self._used + cost > self._maxsize:
+            oldest = next(iter(self._entries))
+            del self._entries[oldest]
+            self._used -= self._cost(*oldest)
         value = self._entries[key] = self._fn(*key)
+        self._used += cost
         return value
 
     def cache_info(self) -> _CacheInfo:
@@ -62,6 +72,7 @@ class _BoundedMemo:
 
     def cache_clear(self) -> None:
         self._entries.clear()
+        self._used = 0
         self._misses = 0
 
 

@@ -175,9 +175,10 @@ def adapt_from_path(path: CountingPath, spec: BoundSpec) -> HPLBResult:
         # every lam here lies in [0, 1), and the memo maps p = 0 to 0
         q_m = _binom_quantile(level, lam, path.m)
         key = (q_m, q_m if path.n == path.m else _binom_quantile(level, lam, path.n))
-        if key not in verdicts:
-            verdicts[key] = is_violated(path, lam, spec)
-        return verdicts[key]
+        hit = verdicts.get(key)
+        if hit is None:
+            hit = verdicts[key] = is_violated(path, lam, spec)
+        return hit
 
     # `below` is the verdict at lo.  At 1 the middle branch is empty, so 1
     # is never refuted.

@@ -345,8 +345,8 @@ def split_scan(
     splits = list(splits)
     if not splits or any(math.isnan(s) for s in splits):
         raise ParameterError(f"splits must be a nonempty list of numbers, got {splits}")
-    if sorted(splits) != splits:
-        raise ParameterError("splits must be increasing")
+    if any(a >= b for a, b in zip(splits, splits[1:])):
+        raise ParameterError(f"splits must be strictly increasing, got {splits}")
     bounds, sizes, skipped = [], [], []
     for s in splits:
         labels = (t_index > s).astype(np.int8)

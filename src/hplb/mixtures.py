@@ -97,6 +97,11 @@ class PiecewiseUniform:
 
     def sample(self, count, rng: RngStream):
         u = rng.random(count)
+        if len(self.heights) == 1:  # the cell search's doubles, u - 0.0 being u
+            u /= self._mass[0]
+            u *= self._widths[0]
+            u += self.breaks[0]
+            return u
         idx = np.searchsorted(self._cum, u, side="right") - 1  # >= 0: _cum[0] = 0 <= u
         np.minimum(idx, len(self.heights) - 1, out=idx)
         mass = self._mass[idx]

@@ -67,6 +67,15 @@ def test_simulate_then_estimate_roundtrip(tmp_path):
     assert 0.0 <= value <= 1.0
 
 
+def test_simulate_toy_reports_no_scale(capsys, tmp_path):
+    # the toy takes no --c, so its metadata names none
+    from hplb import cli
+
+    out = tmp_path / "toy.csv"
+    assert cli.main(["simulate", "--example", "toy", "--n", "50", "--output", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] is None
+
+
 def test_powergrid_csv_shape(tmp_path):
     out = tmp_path / "grid.csv"
     # comma-joined negatives need the --flag=value spelling under argparse
@@ -133,6 +142,7 @@ _POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
     ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", ","),
     ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "0.5,,0.7"),
     ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "nan"),
+    ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "0.5,0.5"),
     (*_POWERGRID, "--gammas=-0.5", "--ns", ","),
     ("simulate", "--example", "toy", "--n", "100", "--c", "0.1"),
     ("simulate", "--example", "toy", "--n", "100", "--gamma", "-0.5"),
@@ -142,7 +152,7 @@ _POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
     ("level", "--example", "1", "--n", "100", "--method", "c", "--reps", "0"),
     ("estimate", "--input", str(DATA), "--method", "bayes"),
 ], ids=["gamma-list", "ns-list", "splits-list", "splits-none", "splits-empty-entry",
-        "splits-nan", "ns-none", "toy-c", "toy-gamma", "toy-level-c",
+        "splits-nan", "splits-repeated", "ns-none", "toy-c", "toy-gamma", "toy-level-c",
         "alpha", "sims", "reps", "unreadable-input"])
 def test_usage_errors_exit_2(capsys, argv):
     # a malformed or meaningless input is a usage error, never an internal one

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy import stats
 
 from conftest import count_null_rows, separated_scores
@@ -13,6 +14,7 @@ from hplb import (
     BandConstant,
     BoundSpec,
     CountingPath,
+    ExampleSpec,
     LabeledScores,
     ParameterError,
     RngStream,
@@ -22,6 +24,7 @@ from hplb import (
     build_counting_path,
     counting,
     distributions,
+    gen_example,
     lambda_adapt,
     simulate_null_sup_quantile,
     w_scale,
@@ -40,9 +43,11 @@ def _tie_break_inputs(draw):
     N = draw(st.one_of(st.integers(1, 40), st.integers(200, 5000),
                        st.sampled_from([(1 << 15) - 1, 1 << 15, (1 << 15) + 1, 40000])))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["tied", "continuous", "mixed"]))
+    kind = draw(st.sampled_from(["tied", "continuous", "mixed", "levels"]))
     if kind == "tied":
         scores = gen.choice(_SCORE_POOL[:draw(st.integers(1, len(_SCORE_POOL)))], N)
+    elif kind == "levels":  # about as many distinct scores as the int64 keys can rank
+        scores = gen.integers(0, draw(st.sampled_from([500, 511, 512, 513, 600])), N) / 7.0
     else:
         scores = gen.normal(size=N)
         if kind == "mixed":
@@ -57,13 +62,68 @@ def _tie_break_inputs(draw):
     return scores, u
 
 
+class _FixedStream:
+    """Stands in for the tie-break stream: its one draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def __call__(self, *identity):
+        return self
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
 class TestBuildCountingPath:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_tie_break_inputs())
     def test_tie_break_order_is_lexsort(self, case):
         scores, u = case
-        got = counting._tie_break_order(scores, u)
+        got = counting._tie_break_order(counting._score_ranks(scores)[0], u)
         assert np.array_equal(got, np.lexsort((u, scores)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_tie_break_inputs().filter(lambda case: len(case[0]) >= 2),
+           st.integers(0, 2**32 - 1), st.sampled_from(["on-grid", "off-grid", "outside"]))
+    def test_path_counts_zeros_in_lexsort_order(self, case, label_seed, grid):
+        # the int64 keys decide exactly where they can, `_tie_break_order` elsewhere
+        scores, u = case
+        N = len(scores)
+        if grid == "off-grid":
+            u = u / 3.0  # mostly not multiples of 2**-53
+        elif grid == "outside":
+            u = u.copy()
+            u[label_seed % N] = 1.0
+        labels = np.random.default_rng(label_seed).integers(0, 2, N)
+        labels[:2] = 0, 1
+        order = np.lexsort((u, scores))
+        want = np.cumsum(labels[order] == 0)[:-1]
+        s, uu = scores[order], u[order]
+        shared = ((s[1:] == s[:-1]) & (uu[1:] == uu[:-1])).any()
+        on_grid = (u >= 0).all() and (u < 1).all() and (u * 2.0**53 % 1 == 0).all()
+        keyed = len(np.unique(scores)) < 512 and on_grid and not shared
+        event(f"keyed={keyed} shared={shared} on_grid={on_grid} N>2**15={N > 1 << 15}")
+        fallbacks, tie_break_order = [], counting._tie_break_order
+
+        def spy(ranks, u):
+            fallbacks.append(len(ranks))
+            return tie_break_order(ranks, u)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "RngStream", _FixedStream(u))
+            mp.setattr(counting, "_tie_break_order", spy)
+            path = build_counting_path(LabeledScores(scores, labels))
+        assert np.array_equal(path.v, want)
+        assert fallbacks == ([] if keyed else [N])
+
+    @pytest.mark.parametrize("example", [0, 1, 2])
+    def test_path_of_a_drawn_example_uses_its_tie_break_stream(self, example):
+        data, _ = gen_example(ExampleSpec(example, 3000, gamma=-0.5), RngStream(5, example))
+        u = RngStream(data.tie_seed, 0, ("tie-break",)).random(data.total)
+        want = np.cumsum(data.labels[np.lexsort((u, data.scores))] == 0)[:-1]
+        assert np.array_equal(build_counting_path(data).v, want)
 
     def test_direct_count(self):
         data = LabeledScores(scores=np.array([0.1, 0.2, 0.3]), labels=np.array([0, 1, 0]))
@@ -74,6 +134,34 @@ class TestBuildCountingPath:
             scores=np.array([1.0, 2.0, 3.0]), labels=np.array([0, 0, 1])
         )
         assert build_counting_path(data).v.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("scores,labels", [
+        ([0.1, 0.2], [0, 2]),
+        ([0.1, 0.2], [0, -1]),
+        ([0.1, 0.2], [0.0, 0.5]),
+        ([0.1, 0.2], [0, np.nan]),
+        ([0.1, 0.2], ["0", "1"]),
+        ([0.1, np.nan], [0, 1]),
+        ([np.nan, np.nan], [0, 0]),
+        ([0.1, 0.2], [1, 1]),
+        ([], []),
+        ([0.1, 0.2], [0, 1, 1]),
+        ([[0.1, 0.2]], [[0, 1]]),
+    ], ids=["label-2", "label-neg", "label-half", "label-nan", "label-str", "score-nan",
+            "nan-one-class", "one-class", "empty", "length", "2-d"])
+    def test_bad_inputs_raise_without_warnings(self, scores, labels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                LabeledScores(np.array(scores), np.array(labels))
+
+    def test_accepted_labels_become_read_only_int8(self):
+        scores = np.array([np.inf, -np.inf, 0.0, -0.0])
+        for labels in ([0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0], [False, True, True, False]):
+            data = LabeledScores(scores, np.array(labels))
+            assert data.labels.dtype == np.int8 and data.labels.tolist() == [0, 1, 1, 0]
+            assert (data.m, data.n) == (2, 2)
+            assert not data.labels.flags.writeable and not data.scores.flags.writeable
 
     def test_empty_class_rejected(self):
         with pytest.raises(ParameterError):
@@ -199,6 +287,35 @@ class TestScaleGrid:
         counting.clear_band_cache()
         again = counting._mean_and_scale(40, 60)[1]
         assert again is not w and np.array_equal(again, w)
+
+    def test_mean_line_is_memoized_read_only_and_cleared_with_the_band_memo(self):
+        counting.clear_band_cache()
+        mean, _ = counting._mean_and_scale(40, 60)
+        assert not mean.flags.writeable
+        with pytest.raises(ValueError):
+            mean[0] = 1.0
+        assert counting._mean_and_scale(40, 60)[0] is mean
+        counting.clear_band_cache()
+        again = counting._mean_and_scale(40, 60)[0]
+        assert again is not mean and np.array_equal(again, mean)
+
+    def test_grid_memo_stays_within_its_byte_budget(self):
+        counting.clear_band_cache()
+        memo = counting._scale_grids
+        kept = []
+        for m_eff in range(49_990, 50_000):
+            grids = counting._mean_and_scale(m_eff, 100_000 - m_eff)
+            assert sum(g.nbytes for g in grids) == 16 * (100_000 - 1)
+            kept.append(grids)
+            assert sum(g.nbytes for v in memo._entries.values() for g in v) <= counting._GRID_BUDGET
+        assert memo.cache_info().currsize >= 1
+        # a pair of grids over the budget is computed and not kept
+        half = counting._GRID_BUDGET // 16
+        mean, w = counting._mean_and_scale(half, half)
+        assert mean.nbytes + w.nbytes > counting._GRID_BUDGET
+        assert (half, half) not in memo._entries
+        counting.clear_band_cache()
+        assert memo.cache_info().currsize == 0
 
 
 class TestBetaThreshold:

@@ -138,3 +138,22 @@ def test_bounded_memo_evicts_before_a_miss_computes():
     assert memo.cache_info() == (3, 1, 1)
     memo.cache_clear()
     assert memo.cache_info() == (0, 1, 0)
+
+
+def test_bounded_memo_weighs_entries_by_their_cost():
+    # a costed memo evicts oldest-first until the new entry fits, and keeps
+    # no entry that alone costs more than the budget
+    from hplb.distributions import _BoundedMemo
+
+    memo = _BoundedMemo(lambda x: x * x, 10, cost=lambda x: x)
+    assert [memo(4), memo(5), memo(4)] == [16, 25, 16]
+    assert memo.cache_info() == (2, 10, 2)
+    assert memo(3) == 9  # 4 + 5 + 3 > 10: the oldest, 4, goes
+    assert memo.cache_info() == (3, 10, 2)
+    assert memo(4) == 16  # 5 + 3 + 4 > 10: 5 goes
+    assert memo.cache_info() == (4, 10, 2)
+    assert memo(11) == 121  # costs more than the budget: computed, not kept
+    assert memo.cache_info() == (5, 10, 2)
+    assert memo(3) == 9 and memo.cache_info().misses == 5
+    memo.cache_clear()
+    assert memo(10) == 100 and memo.cache_info() == (1, 10, 1)

@@ -77,6 +77,30 @@ class TestDensities:
             stat = stats.kstest(x, lambda v: d.cdf(v)).statistic
             assert stat < 1.63 / math.sqrt(20_000)  # 1% critical value
 
+    @pytest.mark.parametrize("d", [
+        U_POS,
+        PiecewiseUniform([-2.5, 4.25], [1.0 / 6.75]),
+        PiecewiseUniform([0.0, 1.0], [1.0 + 2.0**-40]),  # a cell mass just above 1.0
+        PiecewiseUniform([3.0, 4.0], [1.0 - 2.0**-40]),  # and just below
+        PiecewiseUniform([0.0, 0.25, 1.0], [2.0, 2 / 3]),
+    ], ids=["unit", "wide", "mass-above-1", "mass-below-1", "two-cells"])
+    def test_sample_is_the_cell_search_bit_for_bit(self, d):
+        # a one-cell density skips the search; its doubles must not move
+        u = RngStream(8, 0).random(5000)
+        u[:3] = 0.0, 1.0 - 2.0**-53, d._cum[-1]  # the ends of the unit interval and of the cells
+        idx = np.minimum(np.searchsorted(d._cum, u, side="right") - 1, len(d.heights) - 1)
+        mass = d._mass[idx]
+        want = np.divide(u - d._cum[idx], mass, out=np.zeros(len(u)), where=mass > 0)
+        want = want * d._widths[idx] + d.breaks[idx]
+
+        class Stream:
+            def random(self, count):
+                return u.copy()
+
+        got = d.sample(len(u), Stream())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert d.sample(0, RngStream(8, 1)).shape == (0,)
+
     def test_gaussian_cdf_against_scipy(self):
         xs = np.linspace(-5, 5, 101)
         assert np.allclose(Gaussian(0.3, 1.7).cdf(xs), stats.norm.cdf(xs, 0.3, 1.7), atol=1e-12)
