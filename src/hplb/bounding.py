@@ -20,6 +20,7 @@ at most alpha, which is exactly what the adaptive estimator needs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +43,9 @@ class BoundSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("sims", self.sims), ("seed", self.seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.band_kind not in ("analytic", "simulated"):

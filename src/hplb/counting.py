@@ -10,7 +10,8 @@ two confidence bands provided here upper-envelope that process uniformly
 in z:
 
 * analytic: mean line + beta * w(z, m, n), with beta the iterated-logarithm
-  threshold (valid asymptotically, conservative at small sizes);
+  threshold (valid asymptotically only: at 20 + 400 the null exceedance
+  of beta(0.0167, m_eff) was 0.0526);
 * simulated: mean line + c * w(z, m, n), with c the Monte Carlo
   rank-rule (1-alpha) quantile of simulated normalized sup statistics
   (exact at every simulation budget that resolves alpha).
@@ -147,35 +148,29 @@ def build_counting_path(data: LabeledScores) -> CountingPath:
     return CountingPath(v=v[:-1], m=data.m, n=data.n)
 
 
-# `Generator.random` returns k / 2**53 for an integer k below 2**53.
-_U_GRID = 2.0 ** 53
-
-
 def _zeros_in_tie_break_order(scores, u, labels) -> np.ndarray:
     """The flags label == 0 in the order `np.lexsort((u, scores))`, as 0/1 integers.
 
-    With fewer than 512 distinct scores and every u = k / 2**53, one sort
-    of the int64 keys rank << 54 | k << 1 | (label == 0) gives the order,
-    rank being the score's among the distinct values.  Where two keys share
-    (rank, k), lexsort breaks the tie by index, so `_tie_break_order`
-    decides, as it does for more distinct scores and for u outside [0, 1)
-    or off that grid.
+    For u in [0, 1), one sort of the int64 keys
+    rank << (54 - drop) | floor(u 2**(53 - drop)) << 1 | (label == 0)
+    gives the order, rank being the score's among the distinct values and
+    drop what the rank needs beyond 9 bits.  Where two keys agree above the
+    last bit, lexsort decides, as it does for u outside [0, 1).
     """
-    ranks, distinct = _score_ranks(scores)
-    if distinct < 512 and u.min() >= 0.0 and u.max() < 1.0:
-        k = u * _U_GRID
-        if (np.floor(k) == k).all():
-            k += k  # 2k, exactly
-            key = ranks.astype(np.int64)
-            key <<= 54
-            key |= k.astype(np.int64)
-            key |= labels == 0
-            key.sort()
-            # keys sharing (rank, k) differ at most in the last bit
-            if len(key) < 2 or np.bitwise_xor(key[1:], key[:-1]).min() > 1:
-                key &= 1
-                return key
-    return labels[_tie_break_order(ranks, u)] == 0
+    if u.min() >= 0.0 and u.max() < 1.0:
+        ranks, distinct = _score_ranks(scores)
+        u_bits = 53 - max(0, (distinct - 1).bit_length() - 9)
+        key = ranks.astype(np.int64)
+        key <<= u_bits
+        key |= (u * 2.0 ** u_bits).astype(np.int64)
+        key <<= 1
+        key |= labels == 0
+        key.sort()
+        # keys of one rank whose truncated u agree differ at most in the last bit
+        if len(key) < 2 or np.bitwise_xor(key[1:], key[:-1]).min() > 1:
+            key &= 1
+            return key
+    return labels[np.lexsort((u, scores))] == 0
 
 
 def _score_ranks(scores: np.ndarray):
@@ -191,21 +186,6 @@ def _score_ranks(scores: np.ndarray):
     ranks = np.empty_like(sorted_ranks)
     ranks[by_score] = sorted_ranks
     return ranks, int(sorted_ranks[-1]) + 1
-
-
-def _tie_break_order(ranks: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`np.lexsort((u, ranks))`, the order of `np.lexsort((u, scores))` for
-    the scores' ranks (`_score_ranks`).
-
-    Up to 2**15 ids with no two equal u: an argsort of u, then a stable
-    argsort (a radix sort) of the int16 ranks in that order.
-    """
-    if len(ranks) > 1 << 15:
-        return np.lexsort((u, ranks))
-    by_u = np.argsort(u)
-    if (np.diff(u[by_u]) == 0).any():  # an exact tie in u
-        return np.lexsort((u, ranks))
-    return by_u[np.argsort(ranks[by_u], kind="stable")]
 
 
 def w_scale(z, m: int, n: int):

@@ -273,6 +273,9 @@ def run_power_grid(
     """
     if not gammas or not ns:
         raise ParameterError("grids must be nonempty")
+    for name, grid in (("gammas", gammas), ("ns", ns)):
+        if len(set(grid)) < len(grid):
+            raise ParameterError(f"{name} must not repeat a value, got {list(grid)}")
     if reps < 1:
         raise ParameterError(f"need at least 1 replication per cell, got reps={reps}")
     if not (0.0 < epsilon <= 1.0):
@@ -342,6 +345,8 @@ def split_scan(
     scores = np.asarray(scores, dtype=float)
     if t_index.shape != scores.shape or t_index.ndim != 1:
         raise ParameterError("t_index and scores must be 1-D arrays of equal length")
+    if np.isnan(t_index).any():
+        raise ParameterError("t_index must not contain NaN")
     splits = list(splits)
     if not splits or any(math.isnan(s) for s in splits):
         raise ParameterError(f"splits must be a nonempty list of numbers, got {splits}")
@@ -378,6 +383,8 @@ def pairwise_matrix(class_probs, labels, spec: BoundSpec) -> np.ndarray:
         raise ParameterError("need an (n, K) probability matrix with one label per row")
     K = probs.shape[1]
     classes = np.arange(K)
+    if not np.isin(labels, classes).all():
+        raise ParameterError(f"labels must lie in 0..{K - 1}")
     counts = [(labels == k).sum() for k in classes]
     if any(cnt == 0 for cnt in counts):
         raise ParameterError("every class must be nonempty")

@@ -379,6 +379,16 @@ class TestSequentialDecision:
         counting.clear_band_cache()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sims", 1000.5), ("sims", 1000.0), ("sims", "1000"), ("seed", 1.5), ("seed", 2.0),
+])
+def test_boundspec_rejects_a_non_integer_budget_or_seed(field, value):
+    # a fractional sims used to pass here and fail later with TypeError in the band
+    # record; a fractional seed was silently truncated by the stream
+    with pytest.raises(ParameterError, match=field):
+        BoundSpec(**{field: value})
+
+
 def test_boundspec_validation():
     with pytest.raises(ParameterError):
         BoundSpec(alpha=0.0)
@@ -392,6 +402,7 @@ def test_boundspec_validation():
     with pytest.raises(ParameterError):
         BoundSpec(alpha=0.001, band_kind="simulated", sims=1000)
     BoundSpec(alpha=0.01, band_kind="simulated", sims=300)
+    BoundSpec(sims=np.int64(1000), seed=np.int64(2))
     # the analytic band simulates its constant below m_eff = 8, so it needs
     # the same budget up front rather than failing partway through a search
     with pytest.raises(ParameterError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -10,12 +11,15 @@ from pathlib import Path
 import pytest
 
 CLI = [sys.executable, "-m", "hplb.cli"]
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+# the subprocesses import the package from src/, as the tests do
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def run(*args, cwd=None):
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, cwd=cwd, timeout=600
+        CLI + list(args), capture_output=True, text=True, cwd=cwd, env=ENV, timeout=600
     )
 
 
@@ -144,6 +148,9 @@ _POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
     ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "nan"),
     ("scan", "--input", str(DATA / "ordered_change.csv"), "--splits", "0.5,0.5"),
     (*_POWERGRID, "--gammas=-0.5", "--ns", ","),
+    (*_POWERGRID, "--gammas=-0.5,-0.5", "--ns", "100,100"),
+    (*_POWERGRID, "--gammas=-0.5,-0.3,-0.5", "--ns", "100"),
+    (*_POWERGRID, "--gammas=-0.5", "--ns", "100,200,100"),
     ("simulate", "--example", "toy", "--n", "100", "--c", "0.1"),
     ("simulate", "--example", "toy", "--n", "100", "--gamma", "-0.5"),
     ("level", "--example", "toy", "--n", "100", "--method", "c", "--c", "0.9"),
@@ -152,7 +159,8 @@ _POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
     ("level", "--example", "1", "--n", "100", "--method", "c", "--reps", "0"),
     ("estimate", "--input", str(DATA), "--method", "bayes"),
 ], ids=["gamma-list", "ns-list", "splits-list", "splits-none", "splits-empty-entry",
-        "splits-nan", "splits-repeated", "ns-none", "toy-c", "toy-gamma", "toy-level-c",
+        "splits-nan", "splits-repeated", "ns-none", "grid-repeated", "gammas-repeated",
+        "ns-repeated", "toy-c", "toy-gamma", "toy-level-c",
         "alpha", "sims", "reps", "unreadable-input"])
 def test_usage_errors_exit_2(capsys, argv):
     # a malformed or meaningless input is a usage error, never an internal one
@@ -355,7 +363,7 @@ def test_import_leaves_scipy_stats_unloaded():
     # the package keeps to scipy.special and imports quad only where used
     code = "import sys, hplb; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"

@@ -38,27 +38,34 @@ _SCORE_POOL = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, np.inf])
 @st.composite
 def _tie_break_inputs(draw):
     """Scores and tie-break keys u: tied, continuous and mixed scores drawing
-    on `_SCORE_POOL`, u uniform as `build_counting_path` draws it, sometimes
-    with an exact tie in u, at sizes on both sides of 2**15 ids."""
-    N = draw(st.one_of(st.integers(1, 40), st.integers(200, 5000),
+    on `_SCORE_POOL`, and 500 to 5000 distinct levels, with u uniform as
+    `build_counting_path` draws it, sometimes with an exact tie in u or a
+    near one (2**-53 apart, within one score), at sizes on both sides of
+    2**15 ids."""
+    N = draw(st.one_of(st.integers(2, 40), st.integers(200, 5000),
                        st.sampled_from([(1 << 15) - 1, 1 << 15, (1 << 15) + 1, 40000])))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["tied", "continuous", "mixed", "levels"]))
     if kind == "tied":
         scores = gen.choice(_SCORE_POOL[:draw(st.integers(1, len(_SCORE_POOL)))], N)
-    elif kind == "levels":  # about as many distinct scores as the int64 keys can rank
-        scores = gen.integers(0, draw(st.sampled_from([500, 511, 512, 513, 600])), N) / 7.0
+    elif kind == "levels":  # around and past the 512 ranks that need all 53 bits of u
+        levels = draw(st.sampled_from([500, 511, 512, 513, 600, 1100, 5000]))
+        scores = gen.integers(0, levels, N) / 7.0
     else:
         scores = gen.normal(size=N)
         if kind == "mixed":
             pooled = gen.random(N) < 0.5
             scores[pooled] = gen.choice(_SCORE_POOL, int(pooled.sum()))
     u = gen.random(N)
-    if N > 1 and draw(st.booleans()):
+    tie = draw(st.sampled_from(["none", "exact", "near"]))
+    if tie != "none":
         i, j = gen.choice(N, 2, replace=False)
-        u[j] = u[i]
-        if draw(st.booleans()):
-            scores[j] = scores[i]  # a full tie, which lexsort breaks by index
+        if tie == "exact":
+            u[j] = u[i]
+        else:  # k one apart, which the keys tell apart only while they keep every bit of u
+            u[j] = u[i] + 2.0**-53 if u[i] < 0.5 else u[i] - 2.0**-53
+        if tie == "near" or draw(st.booleans()):
+            scores[j] = scores[i]  # with an exact tie in u, a full tie: lexsort breaks it by index
     return scores, u
 
 
@@ -78,42 +85,46 @@ class _FixedStream:
 
 class TestBuildCountingPath:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(_tie_break_inputs())
-    def test_tie_break_order_is_lexsort(self, case):
+    @given(_tie_break_inputs(), st.integers(0, 2**32 - 1))
+    def test_tie_break_order_is_lexsort(self, case, label_seed):
         scores, u = case
-        got = counting._tie_break_order(counting._score_ranks(scores)[0], u)
-        assert np.array_equal(got, np.lexsort((u, scores)))
+        labels = np.random.default_rng(label_seed).integers(0, 2, len(scores))
+        got = counting._zeros_in_tie_break_order(scores, u, labels)
+        assert np.array_equal(got, labels[np.lexsort((u, scores))] == 0)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(_tie_break_inputs().filter(lambda case: len(case[0]) >= 2),
-           st.integers(0, 2**32 - 1), st.sampled_from(["on-grid", "off-grid", "outside"]))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_tie_break_inputs(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["on-grid", "off-grid", "outside"]))
     def test_path_counts_zeros_in_lexsort_order(self, case, label_seed, grid):
-        # the int64 keys decide exactly where they can, `_tie_break_order` elsewhere
+        # one keyed sort decides, lexsort only where two keys agree above the last bit
         scores, u = case
         N = len(scores)
         if grid == "off-grid":
             u = u / 3.0  # mostly not multiples of 2**-53
         elif grid == "outside":
             u = u.copy()
-            u[label_seed % N] = 1.0
+            u[label_seed % N] = 1.0 if label_seed % 2 else -0.25
         labels = np.random.default_rng(label_seed).integers(0, 2, N)
         labels[:2] = 0, 1
         order = np.lexsort((u, scores))
         want = np.cumsum(labels[order] == 0)[:-1]
-        s, uu = scores[order], u[order]
-        shared = ((s[1:] == s[:-1]) & (uu[1:] == uu[:-1])).any()
-        on_grid = (u >= 0).all() and (u < 1).all() and (u * 2.0**53 % 1 == 0).all()
-        keyed = len(np.unique(scores)) < 512 and on_grid and not shared
-        event(f"keyed={keyed} shared={shared} on_grid={on_grid} N>2**15={N > 1 << 15}")
-        fallbacks, tie_break_order = [], counting._tie_break_order
+        # the keys keep the top 53 - drop bits of u, the ranks taking the rest
+        drop = max(0, (len(np.unique(scores)) - 1).bit_length() - 9)
+        s, kept = scores[order], np.floor(u[order] * 2.0 ** (53 - drop))
+        collide = ((s[1:] == s[:-1]) & (kept[1:] == kept[:-1])).any()
+        in_range = (u >= 0).all() and (u < 1).all()
+        keyed = in_range and not collide
+        event(f"keyed={keyed} collide={collide} in_range={in_range} drop>0={drop > 0} "
+              f"N>2**15={N > 1 << 15}")
+        fallbacks, lexsort = [], np.lexsort
 
-        def spy(ranks, u):
-            fallbacks.append(len(ranks))
-            return tie_break_order(ranks, u)
+        def spy(keys):
+            fallbacks.append(len(keys[0]))
+            return lexsort(keys)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(counting, "RngStream", _FixedStream(u))
-            mp.setattr(counting, "_tie_break_order", spy)
+            mp.setattr(counting.np, "lexsort", spy)
             path = build_counting_path(LabeledScores(scores, labels))
         assert np.array_equal(path.v, want)
         assert fallbacks == ([] if keyed else [N])

@@ -281,6 +281,14 @@ class TestSplitScan:
         with pytest.raises(ParameterError):
             split_scan(t, np.sin(7.0 * t), splits, SIM_FAST)
 
+    def test_nan_time_index_is_rejected(self):
+        # a NaN t is neither <= s nor > s, so it used to count on the left of every split
+        t = np.linspace(0.0, 1.0, 40)
+        scores = np.sin(7.0 * t)
+        t[3] = np.nan
+        with pytest.raises(ParameterError, match="t_index"):
+            split_scan(t, scores, [0.5], SIM_FAST)
+
 
 class TestPairwiseMatrix:
     @staticmethod
@@ -318,6 +326,15 @@ class TestPairwiseMatrix:
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
         labels = np.array([0, 1])
         with pytest.raises(ParameterError):
+            pairwise_matrix(probs, labels, SIM_FAST)
+
+    @pytest.mark.parametrize("stray", [7, -1, 0.5])
+    def test_label_outside_the_classes_rejected(self, stray):
+        # the rows of a stray label used to be dropped without a word
+        probs, labels = self._three_class_probs(20, RngStream(3, 0))
+        labels = labels.astype(float)
+        labels[5] = stray
+        with pytest.raises(ParameterError, match="0..2"):
             pairwise_matrix(probs, labels, SIM_FAST)
 
 
