@@ -6,7 +6,9 @@ Observations arrive indexed by time.  Cutting the sample at a candidate
 split point s turns change detection into a two-sample problem: points
 before s against points after.  Scanning s and bounding the TV distance
 at each split localizes the change; the bound peaks at the true change
-point and certifies how much of the distribution actually moved.
+point.  Each split's bound holds at level alpha on its own, so the peak,
+chosen over K splits, is a lower bound on how much of the distribution
+moved only at level K alpha.
 """
 
 import numpy as np

@@ -3,7 +3,8 @@ A pairwise alternative to the confusion matrix
 ==============================================
 
 For a K-class problem with per-observation class probabilities, every
-class pair (i, j) yields a two-sample problem scored by p_i - p_j.  The
+class pair i < j yields a two-sample problem scored by p_i - p_j, bounded
+once for both entries (i, j) and (j, i) of the matrix.  The
 matrix of pairwise TV lower bounds says not only *whether* classes are
 distinguishable but *how much* of their distributions provably differ;
 unbalanced class sizes are handled by construction.

@@ -43,6 +43,8 @@ class BoundSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.alpha, numbers.Real):
+            raise ParameterError(f"alpha must be a real number, got {self.alpha!r}")
         for name, value in (("sims", self.sims), ("seed", self.seed)):
             if not isinstance(value, numbers.Integral):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")

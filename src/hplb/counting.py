@@ -251,12 +251,9 @@ class BandConstant:
             raise ParameterError("effective sizes must be at least 1")
 
 
-def _mean_and_scale(m_eff: int, n_eff: int):
-    """The memoized, read-only null mean line z m_eff/N_eff and w(z, m_eff, n_eff), z = 1..N_eff-1."""
-    return _scale_grids(m_eff, n_eff)
-
-
 def _scale_grid(m_eff: int, n_eff: int):
+    """The read-only null mean line z m_eff/N_eff and w(z, m_eff, n_eff), z = 1..N_eff-1;
+    `_scale_grids` memoizes it."""
     z = np.arange(1.0, m_eff + n_eff)
     w = w_scale(z, m_eff, n_eff)
     z *= m_eff / (m_eff + n_eff)
@@ -270,7 +267,7 @@ def _normalized_paths(V, m_eff: int, n_eff: int) -> np.ndarray:
 
     V is a counting path at sizes (m_eff, n_eff), or holds one per row.
     """
-    mean, wv = _mean_and_scale(m_eff, n_eff)
+    mean, wv = _scale_grids(m_eff, n_eff)
     X = np.subtract(V, mean)
     X /= wv
     return X
@@ -317,9 +314,9 @@ def simulate_null_sup_quantile(
 
 # The null draw comes in row chunks of at most _CHUNK_IDS ids, which also
 # bounds the temporaries of a cut.  A draw of at most _DRAW_BUDGET bytes is
-# kept for the next constant; a larger one (N near 1e5 with 1000 sims) is
-# drawn again from the start of its stream for every constant, with the
-# same values.
+# kept for the next query; a larger one (N near 1e5 with 1000 sims) is
+# drawn again from the start of its stream for every query that cuts it,
+# with the same values.
 _CHUNK_IDS = 1 << 17
 _DRAW_BUDGET = 64 << 20
 # The np.intp shuffle scratch of `_draw_rows` holds at most _SCRATCH_IDS ids
@@ -329,10 +326,6 @@ _SCRATCH_IDS = 1 << 14
 
 def _id_dtype(N: int) -> np.dtype:
     return np.dtype(np.uint16 if N <= 1 << 16 else np.uint32)
-
-
-def _over_budget(N: int, sims: int) -> bool:
-    return sims * N * _id_dtype(N).itemsize > _DRAW_BUDGET
 
 
 def _draw_rows(rng: RngStream, N: int, sims: int):
@@ -362,7 +355,7 @@ def _draw_rows(rng: RngStream, N: int, sims: int):
 def _null_draw(identity: tuple, N: int, sims: int):
     """The null draw of the stream `identity` (`RngStream.identity`): the
     stored chunks if they fit the budget, else fresh ones."""
-    if _over_budget(N, sims):
+    if sims * N * _id_dtype(N).itemsize > _DRAW_BUDGET:
         return _draw_rows(RngStream(*identity), N, sims)
     return _stored_draw(identity, N, sims)
 
@@ -415,7 +408,7 @@ def _word_sups(flags, m_eff: int, n_eff: int):
     """
     N = m_eff + n_eff
     words = -(-N // 8)
-    mean, wv = _mean_and_scale(m_eff, n_eff)
+    mean, wv = _scale_grids(m_eff, n_eff)
     # row t of `reach`: mu at z0 + max(t, 1), the mean line continued past N - 1
     line = np.append(mean, np.arange(N, 8 * words + 1) * (m_eff / N))
     reach = line.reshape(words, 8).T[[0, *range(8)]].ravel()
@@ -540,15 +533,16 @@ class _BandRecord:
     which `_band_record` derives from the key's full sizes and
     `simulate_null_sup_quantile` takes from its caller's stream; an
     analytic key with m_eff >= 8 draws nothing and has none.
-    The first query cuts the stored null draw chunk by chunk, in draw
-    order, until the kept statistics settle its verdict (`_verdict`; the
-    stop rule is argued in README.md, Notes, "A verdict reads as few null
-    rows as the rank rule needs"), and keeps them (at most `sims` floats).
-    A later query answers from them when they settle it, and otherwise
-    cuts the remaining chunks and completes the record: then c is known,
-    the statistics are dropped and every query is one comparison.  A draw
-    over `_DRAW_BUDGET` is not stored, so there the first query completes
-    the record in one pass, drawing each chunk once.
+    Every query runs one loop (`_settle`): it counts the statistics kept so
+    far, then cuts the draw's later chunks in draw order, keeping their
+    statistics (one buffer of `sims` floats), until the rank rule settles
+    its verdict (`_verdict`; the stop rule is argued in README.md, Notes,
+    "A verdict reads as few null rows as the rank rule needs").  A loop
+    that cuts to the end of the draw completes the record, and `constant`
+    is that loop run to the end: then c is known, the buffer is dropped
+    and every query is one comparison.  A draw over `_DRAW_BUDGET` is not
+    stored, so a resumed query draws the chunks it skips again, but cuts
+    only the ones after them.
     The analytic fallback's floor beta(alpha, 8) settles t <= floor
     without any row.
     """
@@ -564,63 +558,56 @@ class _BandRecord:
         self._key = (alpha, m_eff, n_eff, sims, removed)
         self._floor = beta_threshold(alpha, 8) if kind == "analytic" else -math.inf
         self._identity = identity
-        self._stats, self._chunks = np.empty(0), 0  # cut so far, in draw order
+        # the statistics of the first _rows rows, cut in draw order from _chunks chunks
+        self._stats, self._rows, self._chunks = np.empty(sims), 0, 0
 
     def constant(self) -> BandConstant:
         if self.const is None:
-            self._complete()
+            self._settle(None)
         return self.const
 
     def exceeds(self, t: float) -> bool:
-        if self.const is None:
-            if t <= self._floor:
-                return False
-            verdict = self._settle(t)
-            if verdict is not None:
-                return verdict
-            self._complete()
-        return bool(t > self.const.c)
+        if self.const is not None:
+            return bool(t > self.const.c)
+        return bool(t > self._floor) and self._settle(t)
 
     def _settle(self, t):
-        """t > c if the kept statistics settle it, else None; a first query cuts until they do."""
-        alpha, m_eff, n_eff, sims, removed = self._key
-        if self._chunks or _over_budget(m_eff + n_eff + sum(removed), sims):
-            return self._verdict(int(np.count_nonzero(self._stats < t)), len(self._stats))
-        # one buffer of sims floats, not one small array per chunk: a single
-        # allocation, which the completed record frees whole
-        stats, below = np.empty(sims), 0
-        for T in self._more():
-            rows = len(self._stats)
-            stats[rows:rows + len(T)] = T
-            self._stats, self._chunks = stats[:rows + len(T)], self._chunks + 1
-            below += int(np.count_nonzero(T < t))
-            verdict = self._verdict(below, len(self._stats))
-            if verdict is not None:
-                return verdict
+        """Whether t > c, from the kept statistics and then the chunks after them,
+        cut in draw order until the rank rule settles it (t None settles nothing).
+        A cut to the end of the draw completes the record."""
+        sims = len(self._stats)
+        below = 0 if t is None else int(np.count_nonzero(self._stats[:self._rows] < t))
+        chunks = self._more()
+        while self._rows < sims and (t is None or self._verdict(below) is None):
+            T = next(chunks)
+            self._stats[self._rows:self._rows + len(T)] = T
+            self._rows, self._chunks = self._rows + len(T), self._chunks + 1
+            if t is not None:
+                below += int(np.count_nonzero(T < t))
+        if self._rows < sims:
+            return self._verdict(below)
+        alpha, m_eff, n_eff = self._key[:3]
+        c = max(float(np.partition(self._stats, self._k - 1)[self._k - 1]), self._floor)
+        self.const = BandConstant("simulated", c, m_eff, n_eff, alpha, sims)
+        self._stats = None
+        return t is not None and bool(t > c)
 
-    def _verdict(self, below: int, rows: int):
-        """t > c once `below` of `rows` statistics lie below t, t <= c once the
+    def _verdict(self, below: int):
+        """t > c once `below` of the kept statistics lie below t, t <= c once the
         rest reach sims + 1 - k, None while neither holds."""
         if below >= self._k:
             return True
-        if rows - below >= self._reach:
+        if self._rows - below >= self._reach:
             return False
         return None
 
-    def _complete(self) -> BandConstant:
-        alpha, m_eff, n_eff, sims, _ = self._key
-        T = np.concatenate([self._stats, *self._more()])
-        c = max(float(np.partition(T, self._k - 1)[self._k - 1]), self._floor)
-        self.const = BandConstant("simulated", c, m_eff, n_eff, alpha, sims)
-        self._stats = None
-        return self.const
-
     def _more(self):
-        """The sup statistics of the draw's chunks after those already kept."""
+        """The sup statistics of the draw's chunks after those already cut,
+        drawn on the first request."""
         alpha, m_eff, n_eff, sims, removed = self._key
         draw = _null_draw(self._identity, m_eff + n_eff + sum(removed), sims)
         rest = itertools.islice(draw, self._chunks, None)
-        return _sup_statistics(rest, m_eff, n_eff, removed)
+        yield from _sup_statistics(rest, m_eff, n_eff, removed)
 
 
 # The adaptive search evaluates many TV candidates whose binomial quantiles

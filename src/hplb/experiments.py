@@ -35,9 +35,9 @@ from .mixtures import (
     MixtureModel,
     PiecewiseUniform,
     ProductDensity,
-    _phi,
     bayes_projection,
     sigma_true,
+    tv_exact,
 )
 from .streams import RngStream
 
@@ -151,8 +151,8 @@ def example_model(spec: ExampleSpec) -> tuple[MixtureModel, float]:
     base = ProductDensity([Gaussian(0.0, 1.0) for _ in range(_TOY_DIM)])
     bump = ProductDensity([Gaussian(mu, 1.0) for mu in _TOY_SHIFT])
     Q = Mixture([1.0 - _TOY_EPS, _TOY_EPS], [base, bump])
-    shift = math.sqrt(sum(mu ** 2 for mu in _TOY_SHIFT))
-    return MixtureModel(base, Q, "toy"), _TOY_EPS * (2.0 * float(_phi(shift / 2.0)) - 1.0)
+    model = MixtureModel(base, Q, "toy")
+    return model, tv_exact(model)
 
 
 def gen_example(spec: ExampleSpec, rng: RngStream) -> tuple[LabeledScores, float]:
@@ -339,7 +339,9 @@ def split_scan(
 
     Conditions on the realized class sizes at every split; a split with
     fewer than two observations on either side is skipped with a warning
-    record instead of an estimate.
+    record instead of an estimate.  Each split's bound holds at level
+    `spec.alpha` on its own, so a peak chosen over K splits is covered
+    only at K alpha.
     """
     t_index = np.asarray(t_index, dtype=float)
     scores = np.asarray(scores, dtype=float)
@@ -372,10 +374,11 @@ def split_scan(
 def pairwise_matrix(class_probs, labels, spec: BoundSpec) -> np.ndarray:
     """Pairwise adaptive TV bounds from per-class probability scores.
 
-    Entry (i, j) restricts the sample to classes i and j and scores each
-    observation by p_i - p_j (class j plays the first sample, sitting at
-    low scores).  The matrix is symmetrized by the elementwise maximum and
-    has a zero diagonal.
+    Each pair i < j is bounded once: the sample is restricted to classes i
+    and j and each observation scored by p_i - p_j (class j plays the first
+    sample, sitting at low scores).  The bound is written to both (i, j)
+    and (j, i), so each entry holds at level `spec.alpha`; the diagonal is
+    zero.
     """
     probs = np.asarray(class_probs, dtype=float)
     labels = np.asarray(labels)
@@ -390,12 +393,10 @@ def pairwise_matrix(class_probs, labels, spec: BoundSpec) -> np.ndarray:
         raise ParameterError("every class must be nonempty")
     out = np.zeros((K, K))
     for i in range(K):
-        for j in range(K):
-            if i == j:
-                continue
+        for j in range(i + 1, K):
             mask = (labels == i) | (labels == j)
             score = probs[mask, i] - probs[mask, j]
             lab = (labels[mask] == i).astype(np.int8)  # class j -> 0, class i -> 1
             data = LabeledScores(scores=score, labels=lab, tie_seed=spec.seed)
-            out[i, j] = lambda_adapt(data, spec).value
-    return np.maximum(out, out.T)
+            out[i, j] = out[j, i] = lambda_adapt(data, spec).value
+    return out

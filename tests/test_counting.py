@@ -284,30 +284,30 @@ class TestScaleGrid:
         for m, n in [(10, 10), (3, 997), (2000, 2000), (12345, 678)]:
             N = m + n
             z = np.arange(1.0, N)
-            mean, w = counting._mean_and_scale(m, n)
+            mean, w = counting._scale_grids(m, n)
             assert np.array_equal(w.view(np.int64), w_scale(z, m, n).view(np.int64))
             assert np.array_equal(mean.view(np.int64), (z * (m / N)).view(np.int64))
 
     def test_grid_is_memoized_read_only_and_cleared_with_the_band_memo(self):
         counting.clear_band_cache()
-        _, w = counting._mean_and_scale(40, 60)
+        _, w = counting._scale_grids(40, 60)
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 1.0
-        assert counting._mean_and_scale(40, 60)[1] is w
+        assert counting._scale_grids(40, 60)[1] is w
         counting.clear_band_cache()
-        again = counting._mean_and_scale(40, 60)[1]
+        again = counting._scale_grids(40, 60)[1]
         assert again is not w and np.array_equal(again, w)
 
     def test_mean_line_is_memoized_read_only_and_cleared_with_the_band_memo(self):
         counting.clear_band_cache()
-        mean, _ = counting._mean_and_scale(40, 60)
+        mean, _ = counting._scale_grids(40, 60)
         assert not mean.flags.writeable
         with pytest.raises(ValueError):
             mean[0] = 1.0
-        assert counting._mean_and_scale(40, 60)[0] is mean
+        assert counting._scale_grids(40, 60)[0] is mean
         counting.clear_band_cache()
-        again = counting._mean_and_scale(40, 60)[0]
+        again = counting._scale_grids(40, 60)[0]
         assert again is not mean and np.array_equal(again, mean)
 
     def test_grid_memo_stays_within_its_byte_budget(self):
@@ -315,14 +315,14 @@ class TestScaleGrid:
         memo = counting._scale_grids
         kept = []
         for m_eff in range(49_990, 50_000):
-            grids = counting._mean_and_scale(m_eff, 100_000 - m_eff)
+            grids = counting._scale_grids(m_eff, 100_000 - m_eff)
             assert sum(g.nbytes for g in grids) == 16 * (100_000 - 1)
             kept.append(grids)
             assert sum(g.nbytes for v in memo._entries.values() for g in v) <= counting._GRID_BUDGET
         assert memo.cache_info().currsize >= 1
         # a pair of grids over the budget is computed and not kept
         half = counting._GRID_BUDGET // 16
-        mean, w = counting._mean_and_scale(half, half)
+        mean, w = counting._scale_grids(half, half)
         assert mean.nbytes + w.nbytes > counting._GRID_BUDGET
         assert (half, half) not in memo._entries
         counting.clear_band_cache()
@@ -522,12 +522,13 @@ class TestCoupledDraw:
         assert all(np.array_equal(a, b) for a, b in zip(redraw, stored))
         counting.clear_band_cache()
 
-    def test_queries_on_live_records_cut_each_row_once(self, monkeypatch):
+    @pytest.mark.parametrize("draw", ["stored", "over_budget"])
+    def test_queries_on_live_records_cut_each_row_once(self, monkeypatch, draw):
         # two keys of one sample, each queried at four statistics around its
         # constant on the record the earlier queries left, then for the
-        # constant: every null row of a key is cut once, the shared draw is
-        # made once, each verdict is the constant's and each key has one
-        # constant
+        # constant: every null row of a key is cut once, each verdict is the
+        # constant's and each key has one constant.  The shared draw is made
+        # once when stored; over the budget a resumed query draws it again
         keys = [(40, 30, (3, 1)), (41, 30, (2, 1))]
 
         def constant(key):
@@ -542,6 +543,8 @@ class TestCoupledDraw:
         monkeypatch.setattr(counting, "_draw_rows",
                             lambda *args: draws.append(args[1:]) or draw_rows(*args))
         monkeypatch.setattr(counting, "_CHUNK_IDS", 74 * 20)  # ten chunks of 20 rows
+        if draw == "over_budget":
+            monkeypatch.setattr(counting, "_DRAW_BUDGET", 0)
         counting.clear_band_cache()
         # per key: far below, just below, at and just above its constant
         offsets = (-2.0, -1e-9, 0.0, 1e-9)
@@ -554,7 +557,8 @@ class TestCoupledDraw:
         results = [constant(keys[i % 2]) for i in range(8)]
         for m_eff, n_eff, _ in keys:
             assert sum(r for m, n, r in rows if (m, n) == (m_eff, n_eff)) == 200
-        assert draws == [(43 + 31, 200)]
+        assert set(draws) == {(43 + 31, 200)}
+        assert len(draws) == 1 if draw == "stored" else len(draws) > len(keys)
         assert verdicts == [serial[i % 2] + offsets[i // 2] > serial[i % 2] for i in range(8)]
         assert verdicts == [False] * 6 + [True] * 2
         assert all(results[i] is results[i % 2] for i in range(8))

@@ -20,6 +20,7 @@ from hplb import (
     split_scan,
     tv_exact,
 )
+from hplb import experiments
 from hplb.experiments import _fit_boundary_slope
 
 SIM_FAST = BoundSpec(alpha=0.05, band_kind="simulated", sims=400, seed=0)
@@ -321,6 +322,22 @@ class TestPairwiseMatrix:
             assert matrix[1, 2] >= 0.7
             low_ok += matrix[0, 1] <= 0.05
         assert low_ok / reps >= 0.95
+
+    def test_each_pair_is_bounded_once(self, monkeypatch):
+        # K = 3 classes make three unordered pairs: each is bounded once, with
+        # class i at label 1 and scores p_i - p_j for i < j, and mirrored
+        adapt = experiments.lambda_adapt
+        calls = []
+        monkeypatch.setattr(experiments, "lambda_adapt",
+                            lambda data, spec: calls.append(data) or adapt(data, spec))
+        probs, labels = self._three_class_probs(40, RngStream(4, 0))
+        matrix = pairwise_matrix(probs, labels, SIM_FAST)
+        assert len(calls) == 3
+        for data, (i, j) in zip(calls, [(0, 1), (0, 2), (1, 2)]):
+            mask = (labels == i) | (labels == j)
+            assert np.array_equal(data.scores, probs[mask, i] - probs[mask, j])
+            assert np.array_equal(data.labels, labels[mask] == i)
+            assert matrix[i, j] == matrix[j, i] == adapt(data, SIM_FAST).value
 
     def test_empty_class_rejected(self):
         probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
