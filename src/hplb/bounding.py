@@ -26,7 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .counting import CountingPath, _normalized_paths, band_constant, band_value, exceeds_band
+from .counting import (
+    CountingPath,
+    _normalized_paths,
+    _require_integer,
+    band_constant,
+    band_value,
+    exceeds_band,
+)
 from .distributions import binom_quantile
 from .errors import ParameterError
 
@@ -45,9 +52,8 @@ class BoundSpec:
     def __post_init__(self):
         if not isinstance(self.alpha, numbers.Real):
             raise ParameterError(f"alpha must be a real number, got {self.alpha!r}")
-        for name, value in (("sims", self.sims), ("seed", self.seed)):
-            if not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        _require_integer("sims", self.sims)
+        _require_integer("seed", self.seed)
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.band_kind not in ("analytic", "simulated"):

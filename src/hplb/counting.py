@@ -23,16 +23,20 @@ Both share the hypergeometric standard deviation scale
 A path leaves the band of constant c exactly when its normalized sup
 statistic T = max_z (V[z] - z m/N) / w(z, m, n) exceeds c; a tie T = c is
 not a violation.  `bounding.is_violated` computes the data's T with
-`_normalized_paths`, every double (V[z] - z m/N) / w(z) of the path.  A
-null row of at least `_WORD_MIN` and fewer than 2**25 ids takes the word
-kernel `_word_sups`, whose T is bit for bit the same.  `is_violated`
-needs only the verdict T_obs > c, and `exceeds_band` gives it from the
-fewest null rows the Monte Carlo rank rule needs, on one memoized record
-of null sup statistics per band key (`_BandRecord`).
+`_normalized_paths`, every double (V[z] - z m/N) / w(z) of the path.  The
+null rows of a band key are cut from one stored draw of permutations,
+kept as their inverse permutations and one flags (`_blocks`), so a key's
+removed ids are two column slices of the inverse.  A cut row of at least
+`_WORD_MIN` and fewer than 2**25 ids takes the block kernel `_block_sups`,
+which reads the uncut row in blocks of 8 positions and gives T bit for bit
+as `_normalized_paths` would.  `is_violated` needs only the verdict
+T_obs > c, and `exceeds_band` gives it from the fewest null rows the Monte
+Carlo rank rule needs, on one memoized record of null sup statistics per
+band key (`_BandRecord`).
 
 The arguments behind these claims live in README.md, Notes: "Coupled null
 draws and the rank rule" (each cut row is an exact null path), "One
-statistic decides a candidate" (the word kernel's monotone rounding), "A
+statistic decides a candidate" (the block kernel's monotone rounding), "A
 verdict reads as few null rows as the rank rule needs" (the stop rule)
 and "The analytic fallback is floored at beta(alpha, 8)".
 """
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +69,12 @@ __all__ = [
 ]
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ParameterError unless `value` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LabeledScores:
     """Two-sample dataset of projection scores with 0/1 labels.
@@ -79,6 +90,7 @@ class LabeledScores:
     n: int = field(init=False)
 
     def __post_init__(self):
+        _require_integer("tie_seed", self.tie_seed)
         scores = np.asarray(self.scores, dtype=float)
         labels = np.asarray(self.labels)
         if scores.ndim != 1 or labels.ndim != 1 or len(scores) != len(labels):
@@ -313,10 +325,15 @@ def simulate_null_sup_quantile(
 
 
 # The null draw comes in row chunks of at most _CHUNK_IDS ids, which also
-# bounds the temporaries of a cut.  A draw of at most _DRAW_BUDGET bytes is
+# bounds the temporaries of a key's statistics: 32 rows at N = 4000.  A
+# chunk is kept as its inverse permutation and one flags (`_blocks`), one
+# buffer of 2 or 4 bytes an id plus N bits a row in whole 8-byte words, at
+# least 128 KiB when the chunk is whole (the flags kept as separate 16 KiB
+# arrays pinned the top of the heap, leaving 17 MB free there against 1 MB).
+# A draw of at most _DRAW_BUDGET such bytes (N <= 31578 with 1000 sims) is
 # kept for the next query; a larger one (N near 1e5 with 1000 sims) is
-# drawn again from the start of its stream for every query that cuts it,
-# with the same values.
+# drawn again from the start of its stream for every query that reads it,
+# with the same values, and its chunks are cut from their ids, not inverted.
 _CHUNK_IDS = 1 << 17
 _DRAW_BUDGET = 64 << 20
 # The np.intp shuffle scratch of `_draw_rows` holds at most _SCRATCH_IDS ids
@@ -352,94 +369,164 @@ def _draw_rows(rng: RngStream, N: int, sims: int):
         yield ids
 
 
-def _null_draw(identity: tuple, N: int, sims: int):
-    """The null draw of the stream `identity` (`RngStream.identity`): the
-    stored chunks if they fit the budget, else fresh ones."""
-    if sims * N * _id_dtype(N).itemsize > _DRAW_BUDGET:
-        return _draw_rows(RngStream(*identity), N, sims)
-    return _stored_draw(identity, N, sims)
+def _blocks(ids: np.ndarray, m: int):
+    """The stored form of an id chunk: one buffer holding two views.
 
-
-def _cut(ids: np.ndarray, m: int, q_m: int, q_n: int) -> np.ndarray:
-    """One-flags of the rows of `ids` without the ids 0..q_m-1 and m..m+q_n-1.
-
-    Every row of a permutation keeps the same number of ids, so the kept
-    flags reshape to (rows, N - q_m - q_n).
+    `pos` is the inverse permutation at the ids' dtype, pos[r, i] the
+    position of id i in row r.  `ones` holds the one flags of the positions
+    in whole 8-byte words a row (`_one_flags`).
     """
-    flags = ids < m
-    if not (q_m or q_n):
-        return flags
-    keep = (ids >= q_m) & ((ids < m) | (ids >= m + q_n))
-    # np.compress on the flat arrays measured twice as fast as flags[keep]
-    return np.compress(keep.ravel(), flags.ravel()).reshape(len(ids), -1)
+    rows, N = ids.shape
+    size = ids.size * ids.itemsize
+    buf = np.empty(size + rows * _row_bytes(N), dtype=np.uint8)
+    pos = buf[:size].view(ids.dtype)
+    at = ids.astype(np.intp)
+    at += np.arange(0, ids.size, N)[:, None]
+    pos[at.ravel()] = np.tile(np.arange(N, dtype=ids.dtype), rows)
+    return pos.reshape(rows, N), _one_flags(ids, m, buf[size:].reshape(rows, -1))
 
 
-def _sup_statistics(chunks, m_eff: int, n_eff: int, removed: tuple):
-    """Yield the sup statistic T of every row of each id chunk, cut at `removed`."""
+def _row_bytes(N: int) -> int:
+    """The bytes of a row's one flags: N bits in whole 8-byte words."""
+    return 8 * -(-N // 64)
+
+
+def _one_flags(ids: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """Bit j of byte b of `out` flags a one (id < m) at position 8b + j of
+    its row of `ids`; the bits past N are 0."""
+    packed = -(-ids.shape[1] // 8)
+    out[:, :packed] = np.packbits(ids < m, axis=1, bitorder="little")
+    out[:, packed:] = 0
+    return out
+
+
+def _null_draw(identity: tuple, N: int, sims: int, m: int, removed: tuple, skip: int = 0):
+    """Yield the removed mask and the one flags of each chunk after the first
+    `skip` of the null draw of the stream `identity` (`RngStream.identity`),
+    ones below m, cut at `removed`.
+
+    A draw that fits the budget is stored (`_blocks`), and the mask comes
+    from its inverse permutations.  Over the budget each chunk is drawn
+    afresh and read once, so it is not inverted: the mask compares its ids
+    (0.05 ms a chunk at N = 50000, against 0.33 ms to invert and slice it).
+    """
     q_m, q_n = removed
-    flags = (_cut(ids, m_eff + q_m, q_m, q_n) for ids in chunks)
+    if sims * (N * _id_dtype(N).itemsize + _row_bytes(N)) > _DRAW_BUDGET:
+        for ids in itertools.islice(_draw_rows(RngStream(*identity), N, sims), skip, None):
+            gone = np.ones((len(ids), 8 * _row_bytes(N)), dtype=bool)
+            np.less(ids, q_m, out=gone[:, :N])
+            gone[:, :N] |= (ids >= m) & (ids < m + q_n)
+            yield gone, _one_flags(ids, m, np.empty((len(ids), _row_bytes(N)), dtype=np.uint8))
+        return
+    for pos, ones in _stored_draw(identity, N, sims, m)[skip:]:
+        yield _removed(pos, m, q_m, q_n), ones
+
+
+def _removed(pos: np.ndarray, m: int, q_m: int, q_n: int) -> np.ndarray:
+    """Per row of `pos`, True at the positions of the ids 0..q_m-1 and
+    m..m+q_n-1 and at the padding past N to the width of the one flags."""
+    rows, N = pos.shape
+    width = 8 * _row_bytes(N)
+    gone = np.zeros((rows, width), dtype=bool)
+    gone[:, N:] = True
+    flat, offsets = gone.reshape(-1), np.arange(0, gone.size, width)[:, None]
+    for ids in (pos[:, :q_m], pos[:, m:m + q_n]):
+        flat[ids + offsets] = True
+    return gone
+
+
+def _sup_statistics(cut, m_eff: int, n_eff: int):
+    """Yield the sup statistic T of every row of each cut chunk: the removed
+    mask and the one flags of `_null_draw`."""
     if _WORD_MIN <= m_eff + n_eff < 1 << 25:
-        return _word_sups(flags, m_eff, n_eff)
+        return _block_sups(cut, m_eff, n_eff)
     dtype = np.int16 if m_eff < 1 << 15 else np.int32
-    paths = (np.cumsum(f[:, :-1], axis=1, dtype=dtype) for f in flags)
+    paths = (np.cumsum(_kept_flags(gone, ones)[:, :-1], axis=1, dtype=dtype)
+             for gone, ones in cut)
     return (_normalized_paths(V, m_eff, n_eff).max(axis=1) for V in paths)
 
 
-# Rows of at least _WORD_MIN ids take the word kernel; on shorter rows a
+def _kept_flags(gone: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """The one-flags of the positions that `gone` keeps, in row order."""
+    flags = np.unpackbits(ones, axis=1, bitorder="little").view(bool)
+    # np.compress on the flat arrays measured three times as fast as flags[~gone]
+    return np.compress(~gone.ravel(), flags.ravel()).reshape(len(gone), -1)
+
+
+def _running_counts(bits: np.ndarray):
+    """The set bits of each byte of `bits`, rows of whole 8-byte words, and
+    their running total to the byte's end in its row (int64)."""
+    count = np.bitwise_count(bits)
+    # a byte counts at most 8, so byte j of the product holds the count over
+    # bytes 0..j of its word, and the top byte the word's
+    within = count.view("<u8") * np.uint64(0x0101010101010101)
+    words = (within >> 56).view(np.int64)
+    before = np.cumsum(words, axis=1)
+    before -= words
+    ends = before[:, :, None] + within.view(np.uint8).reshape(*within.shape, 8)
+    return ends.reshape(bits.shape), count
+
+
+# Rows of at least _WORD_MIN ids take the block kernel; on shorter rows a
 # prefix sum at every z measured faster (crossover near 230 ids, 2 cores).
 _WORD_MIN = 256
+# bit masks of the positions 0..j of a block, j = 0..7
+_LOW = ((2 << np.arange(8)) - 1).astype(np.uint8)[:, None]
 
 
-def _word_sups(flags, m_eff: int, n_eff: int):
-    """Yield T = max_z (V[z] - z m_eff/N) / w(z) per row of each one-flag chunk, N < 2**25.
+def _block_sups(cut, m_eff: int, n_eff: int):
+    """Yield T = max_z (V[z] - z m_eff/N) / w(z) per row of each cut chunk, N < 2**25.
 
-    The doubles compared are those of `_normalized_paths`, so T is bit for
-    bit its maximum; most of them are never computed.  Each row's flags are
-    read as little-endian words of 8 flags; times 0x0101010101010101, byte
-    j of a word holds the ones among its flags 0..j, the top byte its total
-    t, and the cumulative totals V_end = V at each word's last z.  The
-    statistics there give a row lower bound.  In the word over
-    z0 + 1..z0 + 8, every double is at most U = max(V_end - mu[zt], 0) / min(w)
-    with zt = z0 + max(t, 1), and only the words with U above the row's
-    lower bound are evaluated.  The bound needs N < 2**25, where the mean line
-    mu[z] = fl(z m_eff/N) keeps mu[zt] - mu[z] <= zt - z; README.md, Notes,
-    "One statistic decides a candidate", has the proof.  z = N and the
-    padding to a whole word have mean +inf and statistic -inf.
+    A cut chunk is the removed mask and the one flags of the uncut rows
+    (`_null_draw`).  The doubles compared are those of `_normalized_paths`, so
+    T is bit for bit its maximum; most of them are never computed.  Each
+    byte of an uncut row is a block of 8 positions holding k <= 8 kept
+    positions, t of them ones, whose z run over z0 + 1..z0 + k.  Running
+    counts give Z = z0 + k and V at each block's end, and their statistics
+    a row lower bound.  Every double of the block is at most
+    U = max(V - mu[z0 + max(t, 1)], 0) / min w(z0 + 1..z0 + 8), and only
+    the blocks with U above the row's lower bound are evaluated, from the
+    kept and kept-one counts among their positions 0..j.  The bound needs
+    N < 2**25, where the mean line mu[z] = fl(z m_eff/N) keeps
+    mu[zt] - mu[z] <= zt - z; README.md, Notes, "One statistic decides a
+    candidate", has the proof.  z = 0 and z = N have mean +inf and
+    statistic -inf, and a position that is not kept repeats the statistic
+    of the last kept one before it in its block, or that of z0.
     """
     N = m_eff + n_eff
-    words = -(-N // 8)
     mean, wv = _scale_grids(m_eff, n_eff)
-    # row t of `reach`: mu at z0 + max(t, 1), the mean line continued past N - 1
-    line = np.append(mean, np.arange(N, 8 * words + 1) * (m_eff / N))
-    reach = line.reshape(words, 8).T[[0, *range(8)]].ravel()
-    at = np.arange(words)
-    # (8, words): row j holds the word's z = z0 + j + 1
-    pad = 8 * words - len(mean)
-    mean = np.append(mean, np.full(pad, np.inf)).reshape(words, 8).T.copy()
-    w_min = np.append(wv, np.full(pad, np.inf)).reshape(words, 8).min(axis=1)
-    wv = np.append(wv, np.ones(pad)).reshape(words, 8).T.copy()
-    shifts = np.arange(0, 64, 8)[:, None]
-    for f in flags:
-        if f.shape[1] < 8 * words:
-            f = np.concatenate([f, np.zeros((len(f), 8 * words - N), dtype=bool)], axis=1)
-        # at most 8 per byte, so no carry and a top byte below 128
-        prefix = (f.view("<u8") * np.uint64(0x0101010101010101)).view(np.int64)
-        t = prefix >> 56
-        V = np.cumsum(t, axis=1)
-        X = V - mean[7]
-        X /= wv[7]
+    # z = 0..N: the statistic's mean line and scale
+    mu = np.concatenate([[np.inf], mean, [np.inf]])
+    w = np.concatenate([[1.0], wv, [1.0]])
+    # z = 0..N+1: the mean line continued past N - 1
+    reach = np.concatenate([[0.0], mean, np.arange(N, N + 2) * (m_eff / N)])
+    # z0 = 0..N: min w(z0 + 1..z0 + 8), w reading +inf past N - 1; eight
+    # shifted minima measured 17 times as fast as a sliding window's min
+    padded = np.concatenate([wv, np.full(9, np.inf)])
+    w_min = padded[:N + 1].copy()
+    for j in range(1, 8):
+        np.minimum(w_min, padded[j:j + N + 1], out=w_min)
+    for gone, ones in cut:
+        kept = np.packbits(gone, axis=1, bitorder="little")
+        np.invert(kept, out=kept)
+        kept_ones = ones & kept
+        Z, k = _running_counts(kept)
+        V, t = _running_counts(kept_ones)
+        X = V - mu.take(Z)
+        X /= w.take(Z)
         T = X.max(axis=1)
-        t *= words
-        t += at  # the index of (t, w) in `reach`
-        X = np.subtract(V, np.take(reach, t), out=X)
-        np.maximum(X, 0.0, out=X)
-        X /= w_min
-        i = np.flatnonzero(X > T[:, None])
-        prefix, V = prefix.ravel()[i], V.ravel()[i]
-        w = i % words
-        X = V - (prefix >> 56) + (prefix >> shifts & 0xFF) - np.take(mean, w, axis=1)
-        X /= np.take(wv, w, axis=1)
-        np.maximum.at(T, i // words, X.max(axis=0))
+        z0 = np.subtract(Z, k, out=Z)
+        zt = np.maximum(t, 1) + z0
+        U = np.subtract(V, reach.take(zt), out=X)
+        np.maximum(U, 0.0, out=U)
+        U /= w_min.take(z0)
+        i = np.flatnonzero(U > T[:, None])
+        kb, ob = kept.ravel()[i], kept_ones.ravel()[i]
+        zj = np.bitwise_count(kb & _LOW) + z0.ravel()[i]
+        Vj = np.bitwise_count(ob & _LOW) + (V.ravel()[i] - t.ravel()[i])
+        X = Vj - mu.take(zj)
+        X /= w.take(zj)
+        np.maximum.at(T, i // kept.shape[1], X.max(axis=0))
         yield T
 
 
@@ -605,19 +692,23 @@ class _BandRecord:
         """The sup statistics of the draw's chunks after those already cut,
         drawn on the first request."""
         alpha, m_eff, n_eff, sims, removed = self._key
-        draw = _null_draw(self._identity, m_eff + n_eff + sum(removed), sims)
-        rest = itertools.islice(draw, self._chunks, None)
-        yield from _sup_statistics(rest, m_eff, n_eff, removed)
+        rest = _null_draw(self._identity, m_eff + n_eff + sum(removed), sims,
+                          m_eff + removed[0], removed, self._chunks)
+        yield from _sup_statistics(rest, m_eff, n_eff)
 
 
 # The adaptive search evaluates many TV candidates whose binomial quantiles
 # coincide, so band keys repeat heavily.  A simulated record derives its
 # stream from its full sizes, so its statistics and constant are independent
-# of evaluation order.  One null draw is kept: every candidate of a sample
-# cuts the same one, and samples are bounded one after another.
+# of evaluation order.  One null draw is kept, in the stored form of
+# `_blocks`: every candidate of a sample cuts the same one, reading its
+# removed ids as two column slices of the inverse permutations, and
+# samples are bounded one after another.
 _band_records = _BoundedMemo(_BandRecord, MEMO_SIZE)
 _stored_draw = _BoundedMemo(
-    lambda identity, N, sims: tuple(_draw_rows(RngStream(*identity), N, sims)), 1
+    lambda identity, N, sims, m: tuple(_blocks(ids, m)
+                                       for ids in _draw_rows(RngStream(*identity), N, sims)),
+    1,
 )
 # A level study's verdicts reuse about a hundred (m_eff, n_eff) keys, replication
 # after replication.  A key's two grids take 16 (N_eff - 1) bytes, and the memo

@@ -26,8 +26,8 @@ def count_null_rows(monkeypatch):
     rows = []
     sup_statistics = counting._sup_statistics
 
-    def counted(chunks, m_eff, n_eff, removed):
-        for T in sup_statistics(chunks, m_eff, n_eff, removed):
+    def counted(cut, m_eff, n_eff):
+        for T in sup_statistics(cut, m_eff, n_eff):
             rows.append((m_eff, n_eff, len(T)))
             yield T
 

@@ -119,7 +119,7 @@ TIE_SPEC = BoundSpec(alpha=0.05, band_kind="simulated", sims=1000, seed=2)
 def _tie_rows():
     """Per (m, n): the constant c of TIE_SPEC at lam = 0, the null rows of its
     seeded draw (rebuilt as 0/1 rows) whose statistic equals c, and the statistic.
-    The last size is above the word kernel's crossover (`counting._WORD_MIN`)."""
+    The last size is above the block kernel's crossover (`counting._WORD_MIN`)."""
     spec = TIE_SPEC
     a = spec.alpha / 3.0
     for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100), (700, 600)]:
@@ -385,10 +385,13 @@ class TestSequentialDecision:
 
 @pytest.mark.parametrize("field,value", [
     ("sims", 1000.5), ("sims", 1000.0), ("sims", "1000"), ("seed", 1.5), ("seed", 2.0),
+    ("seed", True), ("seed", False), ("seed", None), ("seed", "3"),
+    pytest.param("sims", np.float64(1e3), id="sims-float64"),
 ])
 def test_boundspec_rejects_a_non_integer_budget_or_seed(field, value):
     # a fractional sims used to pass here and fail later with TypeError in the band
-    # record; a fractional seed was silently truncated by the stream
+    # record; a fractional seed was silently truncated by the stream, and a
+    # bool seed was taken as 0 or 1
     with pytest.raises(ParameterError, match=field):
         BoundSpec(**{field: value})
 

@@ -166,6 +166,17 @@ class TestBuildCountingPath:
             with pytest.raises(ParameterError):
                 LabeledScores(np.array(scores), np.array(labels))
 
+    @pytest.mark.parametrize("tie_seed", [1.5, 2.0, "3", None, True, False, np.float64(4.0)])
+    def test_non_integer_tie_seed_rejected(self, tie_seed):
+        # the tie-break stream used to truncate a float and parse a string
+        # with int(), take a bool as 0 or 1 and fail on None with TypeError
+        with pytest.raises(ParameterError, match="tie_seed"):
+            LabeledScores(np.array([0.1, 0.2]), np.array([0, 1]), tie_seed=tie_seed)
+
+    def test_integer_tie_seeds_accepted(self):
+        for tie_seed in (0, 2**63 - 1, np.int64(5), np.uint64(2**64 - 1)):
+            assert LabeledScores(np.array([0.1, 0.2]), np.array([0, 1]), tie_seed).tie_seed == tie_seed
+
     def test_accepted_labels_become_read_only_int8(self):
         scores = np.array([np.inf, -np.inf, 0.0, -0.0])
         for labels in ([0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0], [False, True, True, False]):
@@ -453,7 +464,8 @@ class TestCoupledDraw:
         m, n, sims = 4, 3, 12000
         q_m, q_n = removed
         ids = np.concatenate(list(counting._draw_rows(RngStream(21, 0), m + n, sims)))
-        kept = counting._cut(ids, m, q_m, q_n)
+        pos, ones = counting._blocks(ids, m)
+        kept = counting._kept_flags(counting._removed(pos, m, q_m, q_n), ones)
         m_eff, N_eff = m - q_m, m + n - q_m - q_n
         assert kept.shape == (sims, N_eff) and (kept.sum(axis=1) == m_eff).all()
         patterns = [
@@ -475,8 +487,11 @@ class TestCoupledDraw:
     ])
     def test_draw_is_the_stored_dtype_shuffle(self, monkeypatch, draw, N, sims, chunk_ids,
                                               scratch_ids):
-        # the np.intp scratch shuffle stores byte for byte the ids that
-        # permuting the uint16 (N <= 2**16) or uint32 draw in place gives
+        # the np.intp scratch shuffle draws byte for byte the ids that
+        # permuting the uint16 (N <= 2**16) or uint32 draw in place gives; a
+        # stored chunk holds their inverse permutation, and either path cuts
+        # from them the removed mask and the one flags (ids below m) of
+        # their positions
         monkeypatch.setattr(counting, "_CHUNK_IDS", chunk_ids)
         monkeypatch.setattr(counting, "_SCRATCH_IDS", scratch_ids)
         if draw == "over_budget":
@@ -484,11 +499,25 @@ class TestCoupledDraw:
         dtype = np.uint16 if N <= 1 << 16 else np.uint32
         ids = np.broadcast_to(np.arange(N, dtype=dtype), (sims, N)).copy()
         RngStream(13, 0, ("draw",)).generator.permuted(ids, axis=1, out=ids)
+        m, (q_m, q_n) = N // 3, (1, 2)
+        identity = RngStream(13, 0, ("draw",)).identity
         counting.clear_band_cache()
-        chunks = list(counting._null_draw(RngStream(13, 0, ("draw",)).identity, N, sims))
+        drawn = list(counting._draw_rows(RngStream(*identity), N, sims))
+        cut = list(counting._null_draw(identity, N, sims, m, (q_m, q_n)))
         assert counting._stored_draw.cache_info().currsize == (draw == "stored")
-        assert all(chunk.dtype == dtype for chunk in chunks)
-        assert np.concatenate(chunks).tobytes() == ids.tobytes()
+        assert all(chunk.dtype == dtype for chunk in drawn)
+        assert np.concatenate(drawn).tobytes() == ids.tobytes()
+        assert [len(gone) for gone, _ in cut] == [len(chunk) for chunk in drawn]
+        gone = np.concatenate([gone for gone, _ in cut])
+        assert gone.shape[1] % 64 == 0 and gone[:, N:].all()
+        assert np.array_equal(gone[:, :N], (ids < q_m) | ((ids >= m) & (ids < m + q_n)))
+        flags = np.unpackbits(np.concatenate([ones for _, ones in cut]), axis=1,
+                              bitorder="little")
+        assert np.array_equal(flags[:, :N], ids < m) and not flags[:, N:].any()
+        if draw == "stored":
+            pos = np.concatenate([pos for pos, _ in counting._stored_draw(identity, N, sims, m)])
+            assert pos.dtype == dtype
+            assert (np.take_along_axis(pos, ids, axis=1) == np.arange(N)).all()
         counting.clear_band_cache()
 
     def test_constant_independent_of_memo_state_order_and_storage(self, monkeypatch):
@@ -508,18 +537,23 @@ class TestCoupledDraw:
         counting.clear_band_cache()
         assert counting._stored_draw.cache_info().currsize == 0
         reverse = constants(keys[::-1])
-        stored = counting._null_draw(RngStream(5, 0, ("direct",)).identity, 85, 300)
-        monkeypatch.setattr(counting, "_DRAW_BUDGET", 85 * 300 * 2 - 1)
+        stored = list(counting._null_draw(RngStream(5, 0, ("direct",)).identity, 85, 300, 50,
+                                          (10, 5)))
+        # one byte short of the stored draw: per row 85 uint16 positions and
+        # the one flags in two 8-byte words
+        monkeypatch.setattr(counting, "_DRAW_BUDGET", 300 * (85 * 2 + 16) - 1)
         counting.clear_band_cache()
         redrawn = constants(keys)
         assert counting._stored_draw.cache_info().currsize == 0
         assert cold == warm == reverse == redrawn
-        # the draw restarts a stream from its identity, on either path
+        # the draw restarts a stream from its identity, and is cut alike, on
+        # either path
         used = RngStream(5, 0, ("direct",))
         used.random(3)
-        redraw = list(counting._null_draw(used.identity, 85, 300))
+        redraw = list(counting._null_draw(used.identity, 85, 300, 50, (10, 5)))
         assert len(redraw) == len(stored) == 5
-        assert all(np.array_equal(a, b) for a, b in zip(redraw, stored))
+        assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+                   for a, b in zip(redraw, stored))
         counting.clear_band_cache()
 
     @pytest.mark.parametrize("draw", ["stored", "over_budget"])
@@ -591,7 +625,7 @@ def _naive_sups(ids, m_eff, n_eff, removed):
 
 @st.composite
 def _row_chunks(draw):
-    """Id chunks of null rows: sizes around multiples of 8 and the word kernel's
+    """Id chunks of null rows: sizes around multiples of 8 and the block kernel's
     crossover, m_eff or n_eff equal to 1, nonzero removed counts, one-row
     chunks, and the rows with all ones or all zeros first."""
     cross = counting._WORD_MIN
@@ -613,26 +647,54 @@ def _row_chunks(draw):
     return np.split(ids, cuts), m_eff, N - m_eff, (q_m, q_n)
 
 
+def _stored_sups(chunks, m_eff, n_eff, removed):
+    """T per row of the id chunks, cut from their stored form (`_blocks`)."""
+    m = m_eff + removed[0]
+    stored = (counting._blocks(ids, m) for ids in chunks)
+    cut = ((counting._removed(pos, m, *removed), ones) for pos, ones in stored)
+    return list(counting._sup_statistics(cut, m_eff, n_eff))
+
+
 class TestRowKernel:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_row_chunks())
     def test_sup_statistics_bit_identical_to_naive_formula(self, case):
         chunks, m_eff, n_eff, removed = case
-        got = list(counting._sup_statistics(chunks, m_eff, n_eff, removed))
+        got = _stored_sups(chunks, m_eff, n_eff, removed)
         assert [len(T) for T in got] == [len(ids) for ids in chunks]
         want = _naive_sups(np.concatenate(chunks), m_eff, n_eff, removed)
         assert np.array_equal(np.concatenate(got).view(np.int64), want.view(np.int64))
 
     def test_extreme_rows_on_both_paths(self):
         # all ones first gives T > 0; all zeros first gives T < 0, which
-        # leaves every word of the row to evaluate
+        # leaves every block of the row to evaluate
         for m_eff, n_eff in [(3, 5), (120, 200), (700, 600), (1, 999), (999, 1)]:
             N = m_eff + n_eff
             ids = np.array([np.arange(N), np.r_[m_eff:N, :m_eff]], dtype=np.uint16)
-            T = np.concatenate(list(counting._sup_statistics([ids], m_eff, n_eff, (0, 0))))
+            T = np.concatenate(_stored_sups([ids], m_eff, n_eff, (0, 0)))
             want = _naive_sups(ids, m_eff, n_eff, (0, 0))
             assert np.array_equal(T.view(np.int64), want.view(np.int64))
             assert T[1] < 0 < T[0]
+
+    @pytest.mark.parametrize("m_eff, n_eff, removed", [
+        # every residue of the uncut N mod 8, on the block kernel
+        *[(130, 170 + r, (3, 2)) for r in range(8)],
+        # every residue of the cut N_eff = 256 + r mod 8
+        *[(64 * 3 + r, 64, (5 + r, 11)) for r in range(8)],
+        # more ids removed than kept, on the block kernel and on prefix sums
+        (128, 128, (200, 100)), (200, 60, (0, 300)), (6, 4, (9, 3)),
+        # N_eff = 2, uncut, cut a little and cut to the last two ids
+        (1, 1, (0, 0)), (1, 1, (3, 4)), (1, 1, (300, 299)),
+    ])
+    def test_block_edges_bit_identical_to_naive_formula(self, m_eff, n_eff, removed):
+        # twelve random rows, then all ones first and all zeros first
+        m, total = m_eff + removed[0], m_eff + n_eff + sum(removed)
+        gen = np.random.default_rng(total)
+        ids = [gen.permutation(total) for _ in range(12)] + [np.arange(total), np.r_[m:total, :m]]
+        ids = np.array(ids, dtype=counting._id_dtype(total))
+        got = np.concatenate(_stored_sups(np.split(ids, [5, 6]), m_eff, n_eff, removed))
+        want = _naive_sups(ids, m_eff, n_eff, removed)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBandValue:
