@@ -26,13 +26,13 @@ not a violation.  `bounding.is_violated` computes the data's T with
 `_normalized_paths`, every double (V[z] - z m/N) / w(z) of the path.  The
 null rows of a band key are cut from one stored draw of permutations,
 kept as their inverse permutations and one flags (`_blocks`), so a key's
-removed ids are two column slices of the inverse.  A cut row of at least
-`_WORD_MIN` and fewer than 2**25 ids takes the block kernel `_block_sups`,
-which reads the uncut row in blocks of 8 positions and gives T bit for bit
-as `_normalized_paths` would.  `is_violated` needs only the verdict
-T_obs > c, and `exceeds_band` gives it from the fewest null rows the Monte
-Carlo rank rule needs, on one memoized record of null sup statistics per
-band key (`_BandRecord`).
+removed ids are two column slices of the inverse (`_kept_bits`).  A cut
+row of at least `_WORD_MIN` and fewer than 2**25 ids takes the block
+kernel `_block_sups`, which reads the uncut row in blocks of 8 positions
+and gives T bit for bit as `_normalized_paths` would.  `is_violated`
+needs only the verdict T_obs > c, and `exceeds_band` gives it from the
+fewest null rows the Monte Carlo rank rule needs, on one memoized record
+of null sup statistics per band key (`_BandRecord`).
 
 The arguments behind these claims live in README.md, Notes: "Coupled null
 draws and the rank rule" (each cut row is an exact null path), "One
@@ -330,10 +330,10 @@ def simulate_null_sup_quantile(
 # buffer of 2 or 4 bytes an id plus N bits a row in whole 8-byte words, at
 # least 128 KiB when the chunk is whole (the flags kept as separate 16 KiB
 # arrays pinned the top of the heap, leaving 17 MB free there against 1 MB).
-# A draw of at most _DRAW_BUDGET such bytes (N <= 31578 with 1000 sims) is
-# kept for the next query; a larger one (N near 1e5 with 1000 sims) is
-# drawn again from the start of its stream for every query that reads it,
-# with the same values, and its chunks are cut from their ids, not inverted.
+# A draw whose ids take at most _DRAW_BUDGET bytes (N <= 33554 with 1000
+# sims) is kept for the next query, its flags adding 1/16 at 2 bytes an id;
+# a larger one (N near 1e5 with 1000 sims) is drawn again from the start of
+# its stream for every query that reads it, with the same values.
 _CHUNK_IDS = 1 << 17
 _DRAW_BUDGET = 64 << 20
 # The np.intp shuffle scratch of `_draw_rows` holds at most _SCRATCH_IDS ids
@@ -377,13 +377,12 @@ def _blocks(ids: np.ndarray, m: int):
     in whole 8-byte words a row (`_one_flags`).
     """
     rows, N = ids.shape
-    size = ids.size * ids.itemsize
-    buf = np.empty(size + rows * _row_bytes(N), dtype=np.uint8)
-    pos = buf[:size].view(ids.dtype)
+    buf = np.empty(ids.nbytes + rows * _row_bytes(N), dtype=np.uint8)
+    pos = buf[:ids.nbytes].view(ids.dtype)
     at = ids.astype(np.intp)
     at += np.arange(0, ids.size, N)[:, None]
     pos[at.ravel()] = np.tile(np.arange(N, dtype=ids.dtype), rows)
-    return pos.reshape(rows, N), _one_flags(ids, m, buf[size:].reshape(rows, -1))
+    return pos.reshape(rows, N), _one_flags(ids, m, buf[ids.nbytes:].reshape(rows, -1))
 
 
 def _row_bytes(N: int) -> int:
@@ -401,56 +400,62 @@ def _one_flags(ids: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
 
 
 def _null_draw(identity: tuple, N: int, sims: int, m: int, removed: tuple, skip: int = 0):
-    """Yield the removed mask and the one flags of each chunk after the first
-    `skip` of the null draw of the stream `identity` (`RngStream.identity`),
-    ones below m, cut at `removed`.
+    """Yield the kept flags and kept-one flags (`_kept_bits`) of each chunk after
+    the first `skip` of the null draw of the stream `identity`
+    (`RngStream.identity`), ones below m, cut at `removed`.
 
-    A draw that fits the budget is stored (`_blocks`), and the mask comes
-    from its inverse permutations.  Over the budget each chunk is drawn
-    afresh and read once, so it is not inverted: the mask compares its ids
-    (0.05 ms a chunk at N = 50000, against 0.33 ms to invert and slice it).
+    A draw whose ids fit the budget is stored (`_blocks`); a larger one is
+    drawn afresh for every query, and only the chunks that the query reads
+    take the stored form.
+    """
+    if sims * N * _id_dtype(N).itemsize > _DRAW_BUDGET:
+        drawn = itertools.islice(_draw_rows(RngStream(*identity), N, sims), skip, None)
+        chunks = (_blocks(ids, m) for ids in drawn)
+    else:
+        chunks = _stored_draw(identity, N, sims, m)[skip:]
+    return _kept_bits(chunks, m, removed)
+
+
+def _kept_bits(chunks, m: int, removed: tuple):
+    """Yield, per stored chunk (`_blocks`), the flags of the positions that the
+    cut at `removed` keeps and of the kept ones, packed as the one flags.
+
+    The removed ids 0..q_m-1 and m..m+q_n-1 are two column slices of the
+    inverse; one mask of the positions, set again for each chunk, serves
+    all of them.
     """
     q_m, q_n = removed
-    if sims * (N * _id_dtype(N).itemsize + _row_bytes(N)) > _DRAW_BUDGET:
-        for ids in itertools.islice(_draw_rows(RngStream(*identity), N, sims), skip, None):
-            gone = np.ones((len(ids), 8 * _row_bytes(N)), dtype=bool)
-            np.less(ids, q_m, out=gone[:, :N])
-            gone[:, :N] |= (ids >= m) & (ids < m + q_n)
-            yield gone, _one_flags(ids, m, np.empty((len(ids), _row_bytes(N)), dtype=np.uint8))
-        return
-    for pos, ones in _stored_draw(identity, N, sims, m)[skip:]:
-        yield _removed(pos, m, q_m, q_n), ones
-
-
-def _removed(pos: np.ndarray, m: int, q_m: int, q_n: int) -> np.ndarray:
-    """Per row of `pos`, True at the positions of the ids 0..q_m-1 and
-    m..m+q_n-1 and at the padding past N to the width of the one flags."""
-    rows, N = pos.shape
-    width = 8 * _row_bytes(N)
-    gone = np.zeros((rows, width), dtype=bool)
-    gone[:, N:] = True
-    flat, offsets = gone.reshape(-1), np.arange(0, gone.size, width)[:, None]
-    for ids in (pos[:, :q_m], pos[:, m:m + q_n]):
-        flat[ids + offsets] = True
-    return gone
+    kept = None
+    for pos, ones in chunks:
+        rows, N = pos.shape
+        if kept is None or rows > len(kept):
+            kept = np.zeros((rows, 8 * ones.shape[1]), dtype=bool)
+        flags = kept[:rows]
+        flags[:, :N] = True  # the padding past N stays False
+        flat, offsets = flags.reshape(-1), np.arange(0, flags.size, flags.shape[1])[:, None]
+        for ids in (pos[:, :q_m], pos[:, m:m + q_n]):
+            flat[ids + offsets] = False
+        bits = np.packbits(flags, axis=1, bitorder="little")
+        yield bits, bits & ones
 
 
 def _sup_statistics(cut, m_eff: int, n_eff: int):
-    """Yield the sup statistic T of every row of each cut chunk: the removed
-    mask and the one flags of `_null_draw`."""
+    """Yield the sup statistic T of every row of each cut chunk: the kept
+    flags and kept-one flags of `_null_draw`."""
     if _WORD_MIN <= m_eff + n_eff < 1 << 25:
         return _block_sups(cut, m_eff, n_eff)
     dtype = np.int16 if m_eff < 1 << 15 else np.int32
-    paths = (np.cumsum(_kept_flags(gone, ones)[:, :-1], axis=1, dtype=dtype)
-             for gone, ones in cut)
+    paths = (np.cumsum(_kept_flags(kept, kept_ones)[:, :-1], axis=1, dtype=dtype)
+             for kept, kept_ones in cut)
     return (_normalized_paths(V, m_eff, n_eff).max(axis=1) for V in paths)
 
 
-def _kept_flags(gone: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """The one-flags of the positions that `gone` keeps, in row order."""
-    flags = np.unpackbits(ones, axis=1, bitorder="little").view(bool)
-    # np.compress on the flat arrays measured three times as fast as flags[~gone]
-    return np.compress(~gone.ravel(), flags.ravel()).reshape(len(gone), -1)
+def _kept_flags(kept: np.ndarray, kept_ones: np.ndarray) -> np.ndarray:
+    """The one flags of the kept positions, in row order, from the packed flags."""
+    keep = np.unpackbits(kept, axis=1, bitorder="little").view(bool)
+    flags = np.unpackbits(kept_ones, axis=1, bitorder="little").view(bool)
+    # np.compress on the flat arrays measured three times as fast as flags[keep]
+    return np.compress(keep.ravel(), flags.ravel()).reshape(len(kept), -1)
 
 
 def _running_counts(bits: np.ndarray):
@@ -477,8 +482,8 @@ _LOW = ((2 << np.arange(8)) - 1).astype(np.uint8)[:, None]
 def _block_sups(cut, m_eff: int, n_eff: int):
     """Yield T = max_z (V[z] - z m_eff/N) / w(z) per row of each cut chunk, N < 2**25.
 
-    A cut chunk is the removed mask and the one flags of the uncut rows
-    (`_null_draw`).  The doubles compared are those of `_normalized_paths`, so
+    A cut chunk is the kept flags and kept-one flags of the uncut rows
+    (`_kept_bits`).  The doubles compared are those of `_normalized_paths`, so
     T is bit for bit its maximum; most of them are never computed.  Each
     byte of an uncut row is a block of 8 positions holding k <= 8 kept
     positions, t of them ones, whose z run over z0 + 1..z0 + k.  Running
@@ -506,10 +511,7 @@ def _block_sups(cut, m_eff: int, n_eff: int):
     w_min = padded[:N + 1].copy()
     for j in range(1, 8):
         np.minimum(w_min, padded[j:j + N + 1], out=w_min)
-    for gone, ones in cut:
-        kept = np.packbits(gone, axis=1, bitorder="little")
-        np.invert(kept, out=kept)
-        kept_ones = ones & kept
+    for kept, kept_ones in cut:
         Z, k = _running_counts(kept)
         V, t = _running_counts(kept_ones)
         X = V - mu.take(Z)

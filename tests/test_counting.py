@@ -464,8 +464,8 @@ class TestCoupledDraw:
         m, n, sims = 4, 3, 12000
         q_m, q_n = removed
         ids = np.concatenate(list(counting._draw_rows(RngStream(21, 0), m + n, sims)))
-        pos, ones = counting._blocks(ids, m)
-        kept = counting._kept_flags(counting._removed(pos, m, q_m, q_n), ones)
+        (cut,) = counting._kept_bits([counting._blocks(ids, m)], m, removed)
+        kept = counting._kept_flags(*cut)
         m_eff, N_eff = m - q_m, m + n - q_m - q_n
         assert kept.shape == (sims, N_eff) and (kept.sum(axis=1) == m_eff).all()
         patterns = [
@@ -489,9 +489,9 @@ class TestCoupledDraw:
                                               scratch_ids):
         # the np.intp scratch shuffle draws byte for byte the ids that
         # permuting the uint16 (N <= 2**16) or uint32 draw in place gives; a
-        # stored chunk holds their inverse permutation, and either path cuts
-        # from them the removed mask and the one flags (ids below m) of
-        # their positions
+        # stored chunk holds their inverse permutation and one flags (ids
+        # below m), and either path cuts from them the kept flags and
+        # kept-one flags of their positions
         monkeypatch.setattr(counting, "_CHUNK_IDS", chunk_ids)
         monkeypatch.setattr(counting, "_SCRATCH_IDS", scratch_ids)
         if draw == "over_budget":
@@ -507,17 +507,20 @@ class TestCoupledDraw:
         assert counting._stored_draw.cache_info().currsize == (draw == "stored")
         assert all(chunk.dtype == dtype for chunk in drawn)
         assert np.concatenate(drawn).tobytes() == ids.tobytes()
-        assert [len(gone) for gone, _ in cut] == [len(chunk) for chunk in drawn]
-        gone = np.concatenate([gone for gone, _ in cut])
-        assert gone.shape[1] % 64 == 0 and gone[:, N:].all()
-        assert np.array_equal(gone[:, :N], (ids < q_m) | ((ids >= m) & (ids < m + q_n)))
-        flags = np.unpackbits(np.concatenate([ones for _, ones in cut]), axis=1,
-                              bitorder="little")
-        assert np.array_equal(flags[:, :N], ids < m) and not flags[:, N:].any()
+        assert [len(kept) for kept, _ in cut] == [len(chunk) for chunk in drawn]
+        kept, kept_ones = (np.unpackbits(np.concatenate(flags), axis=1, bitorder="little")
+                           for flags in zip(*cut))
+        assert kept.shape[1] % 64 == 0 and not kept[:, N:].any()
+        gone = (ids < q_m) | ((ids >= m) & (ids < m + q_n))
+        assert np.array_equal(kept[:, :N], ~gone)
+        assert np.array_equal(kept_ones[:, :N], (ids < m) & ~gone) and not kept_ones[:, N:].any()
         if draw == "stored":
-            pos = np.concatenate([pos for pos, _ in counting._stored_draw(identity, N, sims, m)])
+            chunks = counting._stored_draw(identity, N, sims, m)
+            pos, ones = (np.concatenate(views) for views in zip(*chunks))
             assert pos.dtype == dtype
             assert (np.take_along_axis(pos, ids, axis=1) == np.arange(N)).all()
+            ones = np.unpackbits(ones, axis=1, bitorder="little")
+            assert np.array_equal(ones[:, :N], ids < m) and not ones[:, N:].any()
         counting.clear_band_cache()
 
     def test_constant_independent_of_memo_state_order_and_storage(self, monkeypatch):
@@ -539,9 +542,7 @@ class TestCoupledDraw:
         reverse = constants(keys[::-1])
         stored = list(counting._null_draw(RngStream(5, 0, ("direct",)).identity, 85, 300, 50,
                                           (10, 5)))
-        # one byte short of the stored draw: per row 85 uint16 positions and
-        # the one flags in two 8-byte words
-        monkeypatch.setattr(counting, "_DRAW_BUDGET", 300 * (85 * 2 + 16) - 1)
+        monkeypatch.setattr(counting, "_DRAW_BUDGET", 85 * 300 * 2 - 1)
         counting.clear_band_cache()
         redrawn = constants(keys)
         assert counting._stored_draw.cache_info().currsize == 0
@@ -650,8 +651,7 @@ def _row_chunks(draw):
 def _stored_sups(chunks, m_eff, n_eff, removed):
     """T per row of the id chunks, cut from their stored form (`_blocks`)."""
     m = m_eff + removed[0]
-    stored = (counting._blocks(ids, m) for ids in chunks)
-    cut = ((counting._removed(pos, m, *removed), ones) for pos, ones in stored)
+    cut = counting._kept_bits((counting._blocks(ids, m) for ids in chunks), m, removed)
     return list(counting._sup_statistics(cut, m_eff, n_eff))
 
 
