@@ -28,17 +28,21 @@ null rows of a band key are cut from one stored draw of permutations,
 kept as their inverse permutations and one flags (`_blocks`), so a key's
 removed ids are two column slices of the inverse (`_kept_bits`).  A cut
 row of at least `_WORD_MIN` and fewer than 2**25 ids takes the block
-kernel `_block_sups`, which reads the uncut row in blocks of 8 positions
-and gives T bit for bit as `_normalized_paths` would.  `is_violated`
-needs only the verdict T_obs > c, and `exceeds_band` gives it from the
-fewest null rows the Monte Carlo rank rule needs, on one memoized record
-of null sup statistics per band key (`_BandRecord`).
+kernel `_block_sups`, which reads the uncut row in words of 64 positions,
+then bytes of 8, and gives T bit for bit as `_normalized_paths` would
+wherever T reaches the floor it is given.  `is_violated` needs only the
+verdict T_obs > c, and `exceeds_band` gives it from the fewest null rows
+the Monte Carlo rank rule needs, on one memoized record per band key
+(`_BandRecord`).  A record keeps only the sims + 1 - k largest null
+statistics, the only ones that can settle the constant or a verdict, and
+the kernel need be exact only in the rows that can join them.
 
 The arguments behind these claims live in README.md, Notes: "Coupled null
 draws and the rank rule" (each cut row is an exact null path), "One
-statistic decides a candidate" (the block kernel's monotone rounding), "A
-verdict reads as few null rows as the rank rule needs" (the stop rule)
-and "The analytic fallback is floored at beta(alpha, 8)".
+statistic decides a candidate" (the block kernel's monotone rounding and
+its floor), "A verdict reads as few null rows as the rank rule needs" (the
+stop rule and the statistics kept) and "The analytic fallback is floored
+at beta(alpha, 8)".
 """
 
 from __future__ import annotations
@@ -439,11 +443,14 @@ def _kept_bits(chunks, m: int, removed: tuple):
         yield bits, bits & ones
 
 
-def _sup_statistics(cut, m_eff: int, n_eff: int):
-    """Yield the sup statistic T of every row of each cut chunk: the kept
-    flags and kept-one flags of `_null_draw`."""
+def _sup_statistics(cut, m_eff: int, n_eff: int, floor):
+    """Yield the sup statistics of the rows of each cut chunk: the kept flags
+    and kept-one flags of `_null_draw`.  The block kernel calls `floor` on a
+    chunk's row lower bounds (each a statistic of its row) for the chunk's
+    floor: a row whose T reaches the floor gets T bit for bit, any other row
+    some value below the floor.  Prefix sums give every row exactly."""
     if _WORD_MIN <= m_eff + n_eff < 1 << 25:
-        return _block_sups(cut, m_eff, n_eff)
+        return _block_sups(cut, m_eff, n_eff, floor)
     dtype = np.int16 if m_eff < 1 << 15 else np.int32
     paths = (np.cumsum(_kept_flags(kept, kept_ones)[:, :-1], axis=1, dtype=dtype)
              for kept, kept_ones in cut)
@@ -458,45 +465,40 @@ def _kept_flags(kept: np.ndarray, kept_ones: np.ndarray) -> np.ndarray:
     return np.compress(keep.ravel(), flags.ravel()).reshape(len(kept), -1)
 
 
-def _running_counts(bits: np.ndarray):
-    """The set bits of each byte of `bits`, rows of whole 8-byte words, and
-    their running total to the byte's end in its row (int64)."""
-    count = np.bitwise_count(bits)
-    # a byte counts at most 8, so byte j of the product holds the count over
-    # bytes 0..j of its word, and the top byte the word's
-    within = count.view("<u8") * np.uint64(0x0101010101010101)
-    words = (within >> 56).view(np.int64)
-    before = np.cumsum(words, axis=1)
-    before -= words
-    ends = before[:, :, None] + within.view(np.uint8).reshape(*within.shape, 8)
-    return ends.reshape(bits.shape), count
-
-
 # Rows of at least _WORD_MIN ids take the block kernel; on shorter rows a
-# prefix sum at every z measured faster (crossover near 230 ids, 2 cores).
-_WORD_MIN = 256
-# bit masks of the positions 0..j of a block, j = 0..7
+# prefix sum at every z measured faster (full records of 1000 rows, 2 vCPUs:
+# crossover near 80 ids; a row of at most 64 ids has no row lower bound).
+_WORD_MIN = 96
+# bit masks of the positions 0..j of a byte, j = 0..7
 _LOW = ((2 << np.arange(8)) - 1).astype(np.uint8)[:, None]
+# a word of byte counts (each at most 8) times _SPREAD holds in byte j the
+# total of bytes 0..j
+_SPREAD = np.uint64(0x0101010101010101)
 
 
-def _block_sups(cut, m_eff: int, n_eff: int):
-    """Yield T = max_z (V[z] - z m_eff/N) / w(z) per row of each cut chunk, N < 2**25.
+def _block_sups(cut, m_eff: int, n_eff: int, floor):
+    """Yield T = max_z (V[z] - z m_eff/N) / w(z) per row of each cut chunk, N < 2**25,
+    for every row whose T reaches the chunk's floor, and a value below the
+    floor for every other row.
 
     A cut chunk is the kept flags and kept-one flags of the uncut rows
-    (`_kept_bits`).  The doubles compared are those of `_normalized_paths`, so
-    T is bit for bit its maximum; most of them are never computed.  Each
-    byte of an uncut row is a block of 8 positions holding k <= 8 kept
-    positions, t of them ones, whose z run over z0 + 1..z0 + k.  Running
-    counts give Z = z0 + k and V at each block's end, and their statistics
-    a row lower bound.  Every double of the block is at most
-    U = max(V - mu[z0 + max(t, 1)], 0) / min w(z0 + 1..z0 + 8), and only
-    the blocks with U above the row's lower bound are evaluated, from the
-    kept and kept-one counts among their positions 0..j.  The bound needs
-    N < 2**25, where the mean line mu[z] = fl(z m_eff/N) keeps
+    (`_kept_bits`).  The doubles compared are those of `_normalized_paths`,
+    so T is bit for bit their maximum; most of them are never computed.  A
+    block of an uncut row, 64 positions (a word) or 8 (a byte), holds
+    k kept positions, t of them ones, whose z run over z0 + 1..z0 + k.
+    Every double of the block is at most
+    U = max(V - mu[z0 + max(t, 1)], 0) / min w(z0 + 1..z0 + width), V its
+    count at the block's end.  Popcounts and a running total give Z = z0 + k
+    and V at each word's end, the statistics there a row lower bound L, and
+    the word bounds; `floor(L)` gives the chunk's floor.  Only words whose U
+    reaches max(floor, L) are read in bytes, and only bytes whose U reaches
+    it are evaluated, from the kept and kept-one counts among their
+    positions 0..j; a row keeps L and the largest statistic evaluated.  The
+    bound needs N < 2**25, where the mean line mu[z] = fl(z m_eff/N) keeps
     mu[zt] - mu[z] <= zt - z; README.md, Notes, "One statistic decides a
     candidate", has the proof.  z = 0 and z = N have mean +inf and
     statistic -inf, and a position that is not kept repeats the statistic
-    of the last kept one before it in its block, or that of z0.
+    of the last kept one before it in its byte, or that of z0.
     """
     N = m_eff + n_eff
     mean, wv = _scale_grids(m_eff, n_eff)
@@ -505,30 +507,49 @@ def _block_sups(cut, m_eff: int, n_eff: int):
     w = np.concatenate([[1.0], wv, [1.0]])
     # z = 0..N+1: the mean line continued past N - 1
     reach = np.concatenate([[0.0], mean, np.arange(N, N + 2) * (m_eff / N)])
-    # z0 = 0..N: min w(z0 + 1..z0 + 8), w reading +inf past N - 1; eight
-    # shifted minima measured 17 times as fast as a sliding window's min
-    padded = np.concatenate([wv, np.full(9, np.inf)])
-    w_min = padded[:N + 1].copy()
+    # min w(z0 + 1..z0 + 8) for z0 = 0..N+56, w reading +inf past N - 1 (eight
+    # shifted minima measured 17 times as fast as a sliding window's min),
+    # then doubled to min w(z0 + 1..z0 + 64) for z0 = 0..N
+    padded = np.concatenate([wv, np.full(65, np.inf)])
+    w_min8 = padded[:N + 57].copy()
     for j in range(1, 8):
-        np.minimum(w_min, padded[j:j + N + 1], out=w_min)
+        np.minimum(w_min8, padded[j:j + N + 57], out=w_min8)
+    w_min = w_min8
+    for width in (8, 16, 32):
+        w_min = np.minimum(w_min[:-width], w_min[width:])
     for kept, kept_ones in cut:
-        Z, k = _running_counts(kept)
-        V, t = _running_counts(kept_ones)
+        words = kept.shape[1] // 8
+        kw, ow = kept.view("<u8"), kept_ones.view("<u8")
+        k, t = np.bitwise_count(kw), np.bitwise_count(ow)
+        Z = np.cumsum(k, axis=1, dtype=np.intp)
+        V = np.cumsum(t, axis=1, dtype=np.intp)
         X = V - mu.take(Z)
         X /= w.take(Z)
         T = X.max(axis=1)
+        least = np.maximum(T, floor(T))
         z0 = np.subtract(Z, k, out=Z)
-        zt = np.maximum(t, 1) + z0
-        U = np.subtract(V, reach.take(zt), out=X)
+        U = np.subtract(V, reach.take(np.maximum(t, 1) + z0), out=X)
         np.maximum(U, 0.0, out=U)
         U /= w_min.take(z0)
-        i = np.flatnonzero(U > T[:, None])
-        kb, ob = kept.ravel()[i], kept_ones.ravel()[i]
-        zj = np.bitwise_count(kb & _LOW) + z0.ravel()[i]
-        Vj = np.bitwise_count(ob & _LOW) + (V.ravel()[i] - t.ravel()[i])
+        i = np.flatnonzero(U >= least[:, None])
+        row = i // words
+        # the bytes of those words: counts, and counts to each byte's end
+        kb, ob = kw.ravel()[i].view(np.uint8), ow.ravel()[i].view(np.uint8)
+        kc, tc = np.bitwise_count(kb), np.bitwise_count(ob)
+        zb = (kc.view("<u8") * _SPREAD).view(np.uint8).reshape(-1, 8) - kc.reshape(-1, 8)
+        zb = zb + z0.ravel()[i][:, None]
+        Vb = (tc.view("<u8") * _SPREAD).view(np.uint8).reshape(-1, 8)
+        Vb = Vb + (V.ravel()[i] - t.ravel()[i])[:, None]
+        Ub = Vb - reach.take(np.maximum(tc, 1).reshape(-1, 8) + zb)
+        np.maximum(Ub, 0.0, out=Ub)
+        Ub /= w_min8.take(zb)
+        j = np.flatnonzero(Ub >= least[row][:, None])
+        kj, oj = kb[j], ob[j]
+        zj = np.bitwise_count(kj & _LOW) + zb.ravel()[j]
+        Vj = np.bitwise_count(oj & _LOW) + (Vb.ravel()[j] - tc[j])
         X = Vj - mu.take(zj)
         X /= w.take(zj)
-        np.maximum.at(T, i // kept.shape[1], X.max(axis=0))
+        np.maximum.at(T, row[j // 8], X.max(axis=0))
         yield T
 
 
@@ -622,16 +643,21 @@ class _BandRecord:
     which `_band_record` derives from the key's full sizes and
     `simulate_null_sup_quantile` takes from its caller's stream; an
     analytic key with m_eff >= 8 draws nothing and has none.
-    Every query runs one loop (`_settle`): it counts the statistics kept so
-    far, then cuts the draw's later chunks in draw order, keeping their
-    statistics (one buffer of `sims` floats), until the rank rule settles
-    its verdict (`_verdict`; the stop rule is argued in README.md, Notes,
-    "A verdict reads as few null rows as the rank rule needs").  A loop
-    that cuts to the end of the draw completes the record, and `constant`
-    is that loop run to the end: then c is known, the buffer is dropped
-    and every query is one comparison.  A draw over `_DRAW_BUDGET` is not
-    stored, so a resumed query draws the chunks it skips again, but cuts
-    only the ones after them.
+    It keeps the reach = sims + 1 - k largest statistics of the rows cut
+    so far, and the number of rows cut: t <= c exactly when reach rows
+    reach t, so those statistics count the rows below any t that they do
+    not settle outright, and the least of them is c once every row is cut.
+    Every query runs one loop (`_settle`): it counts the rows below t from
+    the kept statistics, then cuts the draw's later chunks in draw order
+    until the rank rule settles its verdict (`_verdict`).  A chunk is exact
+    only in the rows that can join the reach largest statistics (`_more`);
+    its other rows change neither them nor the verdict the chunk ends on
+    (README.md, Notes, "A verdict reads as few null rows as the rank rule
+    needs").  A loop that cuts to the end of the draw completes the record,
+    and `constant` is that loop run to the end: then c is known, the kept
+    statistics are dropped and every query is one comparison.  A draw over
+    `_DRAW_BUDGET` is not stored, so a resumed query draws the chunks it
+    skips again, but cuts only the ones after them.
     The analytic fallback's floor beta(alpha, 8) settles t <= floor
     without any row.
     """
@@ -647,8 +673,9 @@ class _BandRecord:
         self._key = (alpha, m_eff, n_eff, sims, removed)
         self._floor = beta_threshold(alpha, 8) if kind == "analytic" else -math.inf
         self._identity = identity
-        # the statistics of the first _rows rows, cut in draw order from _chunks chunks
-        self._stats, self._rows, self._chunks = np.empty(sims), 0, 0
+        # the largest _reach statistics of the first _rows rows, cut in draw order
+        # from _chunks chunks, least first; -inf pads them until _reach rows are cut
+        self._stats, self._rows, self._chunks = np.full(self._reach, -np.inf), 0, 0
 
     def constant(self) -> BandConstant:
         if self.const is None:
@@ -664,26 +691,31 @@ class _BandRecord:
         """Whether t > c, from the kept statistics and then the chunks after them,
         cut in draw order until the rank rule settles it (t None settles nothing).
         A cut to the end of the draw completes the record."""
-        sims = len(self._stats)
-        below = 0 if t is None else int(np.count_nonzero(self._stats[:self._rows] < t))
+        sims = self._key[3]
+        below = 0 if t is None else self._rows - int(np.count_nonzero(self._stats >= t))
         chunks = self._more()
         while self._rows < sims and (t is None or self._verdict(below) is None):
             T = next(chunks)
-            self._stats[self._rows:self._rows + len(T)] = T
-            self._rows, self._chunks = self._rows + len(T), self._chunks + 1
             if t is not None:
                 below += int(np.count_nonzero(T < t))
+            self._stats[:] = self._largest(T)
+            self._rows, self._chunks = self._rows + len(T), self._chunks + 1
         if self._rows < sims:
             return self._verdict(below)
         alpha, m_eff, n_eff = self._key[:3]
-        c = max(float(np.partition(self._stats, self._k - 1)[self._k - 1]), self._floor)
+        c = max(float(self._stats[0]), self._floor)
         self.const = BandConstant("simulated", c, m_eff, n_eff, alpha, sims)
         self._stats = None
         return t is not None and bool(t > c)
 
+    def _largest(self, values):
+        """The _reach largest of the kept statistics and `values`, least first."""
+        both = np.concatenate([self._stats, values])
+        return np.partition(both, len(values))[len(values):]
+
     def _verdict(self, below: int):
-        """t > c once `below` of the kept statistics lie below t, t <= c once the
-        rest reach sims + 1 - k, None while neither holds."""
+        """t > c once `below` of the rows cut lie below t, t <= c once the rest
+        reach sims + 1 - k, None while neither holds."""
         if below >= self._k:
             return True
         if self._rows - below >= self._reach:
@@ -692,11 +724,12 @@ class _BandRecord:
 
     def _more(self):
         """The sup statistics of the draw's chunks after those already cut,
-        drawn on the first request."""
+        drawn on the first request.  A chunk's floor is the _reach-th largest
+        of the kept statistics and its row lower bounds."""
         alpha, m_eff, n_eff, sims, removed = self._key
         rest = _null_draw(self._identity, m_eff + n_eff + sum(removed), sims,
                           m_eff + removed[0], removed, self._chunks)
-        yield from _sup_statistics(rest, m_eff, n_eff)
+        yield from _sup_statistics(rest, m_eff, n_eff, lambda bounds: self._largest(bounds)[0])
 
 
 # The adaptive search evaluates many TV candidates whose binomial quantiles

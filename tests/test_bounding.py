@@ -119,7 +119,7 @@ TIE_SPEC = BoundSpec(alpha=0.05, band_kind="simulated", sims=1000, seed=2)
 def _tie_rows():
     """Per (m, n): the constant c of TIE_SPEC at lam = 0, the null rows of its
     seeded draw (rebuilt as 0/1 rows) whose statistic equals c, and the statistic.
-    The last size is above the block kernel's crossover (`counting._WORD_MIN`)."""
+    The last three sizes take the block kernel (`counting._WORD_MIN`)."""
     spec = TIE_SPEC
     a = spec.alpha / 3.0
     for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100), (700, 600)]:
@@ -373,11 +373,11 @@ class TestSequentialDecision:
         assert is_violated(path, 0.5, spec) == (False, None)
         first = counting._CHUNK_IDS // data.total
         assert [r for _, _, r in rows] == [first] and first < spec.sims
-        # the record keeps those statistics alone, in its buffer of sims floats,
-        # and drops them once complete
+        # the record keeps at most sims + 1 - k of those statistics, and drops
+        # them once complete
         key = bounding._band_key(effective_sizes(0.5, data.m, data.n, spec), spec)
         record = counting._band_record(**key)
-        assert record._rows == first and record._stats.shape == (spec.sims,)
+        assert record._rows == first and record._stats.size <= spec.sims + 1 - record._k
         assert band_constant(**key) is record.const and record._stats is None
         assert sum(r for _, _, r in rows) == spec.sims
         counting.clear_band_cache()

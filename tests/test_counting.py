@@ -611,6 +611,98 @@ class TestCoupledDraw:
         assert (info.misses, info.currsize) == (4, 0)
 
 
+class _AllStatistics:
+    """Reference band record: every one of the `sims` statistics of the key's
+    null draw (`_naive_sups`), cut chunk by chunk in draw order until the
+    rank rule settles a query, as a record that keeps them all would."""
+
+    def __init__(self, alpha, m_eff, n_eff, kind, sims, seed, removed):
+        m, n = m_eff + removed[0], n_eff + removed[1]
+        stream = RngStream(seed, 0, ("null-band", m, n, sims, round(alpha, 12)))
+        chunks = list(counting._draw_rows(stream, m + n, sims))
+        self.stats = _naive_sups(np.concatenate(chunks), m_eff, n_eff, removed)
+        self.ends = np.cumsum([len(ids) for ids in chunks])
+        self.k = sims + 1 - math.floor(alpha * (sims + 1))
+        self.rows = 0
+
+    def exceeds(self, t):
+        for rows in [self.rows, *self.ends[self.ends > self.rows]]:
+            self.rows = int(rows)
+            below = int(np.count_nonzero(self.stats[:rows] < t))
+            if below >= self.k:
+                return True
+            if rows - below >= len(self.stats) + 1 - self.k:
+                return False
+        raise AssertionError("every row cut and the verdict still open")
+
+    def constant(self):
+        self.rows = len(self.stats)
+        return np.sort(self.stats)[self.k - 1]
+
+
+def _loosest(sup_statistics, near):
+    """A kernel that keeps the floor contract at its loosest: it offers each
+    row's own T as the row's lower bound, and returns every row below the
+    chunk's floor just below the floor (`near`) or at -inf."""
+
+    def kernel(cut, m_eff, n_eff, floor):
+        for T in sup_statistics(cut, m_eff, n_eff, lambda bounds: -np.inf):
+            least = floor(T)
+            yield np.where(T >= least, T, np.nextafter(least, -np.inf) if near else -np.inf)
+
+    return kernel
+
+
+class TestRankAwareRecord:
+    @pytest.mark.parametrize("kernel", ["block", "near", "far"])
+    @pytest.mark.parametrize("draw", ["stored", "over_budget"])
+    @pytest.mark.parametrize("alpha, m_eff, n_eff, removed", [
+        (0.05 / 3, 150, 180, (20, 30)),  # block kernel, five statistics kept
+        (0.05, 200, 130, (0, 0)),        # block kernel, fifteen kept
+        (0.2, 50, 40, (5, 5)),           # prefix sums, sixty kept
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_record_matches_one_that_keeps_every_statistic(self, monkeypatch, kernel, draw,
+                                                          alpha, m_eff, n_eff, removed, seed):
+        # a seeded sequence of queries around c, each on the record the earlier
+        # ones left, and the constant in the middle or at the end: every
+        # verdict, the rows cut after each query and the constant are those of
+        # a record that keeps all sims statistics, and the record never keeps
+        # more than sims + 1 - k of them; so too with the loosest kernels the
+        # floor allows
+        sims = 300
+        if kernel != "block":
+            monkeypatch.setattr(counting, "_sup_statistics",
+                                _loosest(counting._sup_statistics, kernel == "near"))
+        key = dict(alpha=alpha, m_eff=m_eff, n_eff=n_eff, kind="simulated", sims=sims,
+                   seed=seed, removed=removed)
+        chunk_rows = (13, sims, 40)[seed]  # seed 1 draws a single chunk
+        monkeypatch.setattr(counting, "_CHUNK_IDS", chunk_rows * (m_eff + n_eff + sum(removed)))
+        if draw == "over_budget":
+            monkeypatch.setattr(counting, "_DRAW_BUDGET", 0)
+        counting.clear_band_cache()
+        want = _AllStatistics(**key)
+        reach = sims + 1 - want.k
+        order = np.sort(want.stats)
+        c = order[want.k - 1]
+        gen = np.random.default_rng([seed, draw == "stored"])
+        near = order[want.k - 4:want.k + 2]
+        ts = [*near, *np.nextafter(near, -np.inf), *np.nextafter(near, np.inf),
+              *(c + gen.normal(0.0, order[-1] - order[want.k - 6], 6)), c - 3.0, c + 1.0]
+        ts = list(gen.permutation(ts))[:14]
+        ts.insert(int(gen.integers(len(ts) // 2, len(ts) + 1)), None)
+        for t in ts:
+            if t is None:
+                assert counting.band_constant(**key).c == want.constant() == c
+            else:
+                assert counting.exceeds_band(t, **key) == want.exceeds(t) == (t > c), t
+            record = counting._band_record(**key)
+            assert record._rows == want.rows
+            assert record._stats is None or record._stats.size <= reach
+        assert record._rows == sims and record.const.c == c
+        counting.clear_band_cache()
+
+
 def _naive_sups(ids, m_eff, n_eff, removed):
     """T per row of `ids` from the cut 0/1 row: np.cumsum and (V - z m/N) / w."""
     q_m, q_n = removed
@@ -648,11 +740,42 @@ def _row_chunks(draw):
     return np.split(ids, cuts), m_eff, N - m_eff, (q_m, q_n)
 
 
-def _stored_sups(chunks, m_eff, n_eff, removed):
-    """T per row of the id chunks, cut from their stored form (`_blocks`)."""
+def _stored_sups(chunks, m_eff, n_eff, removed, floor=-np.inf):
+    """The statistics per row of the id chunks, cut from their stored form
+    (`_blocks`), at one floor for every chunk."""
     m = m_eff + removed[0]
     cut = counting._kept_bits((counting._blocks(ids, m) for ids in chunks), m, removed)
-    return list(counting._sup_statistics(cut, m_eff, n_eff))
+    return list(counting._sup_statistics(cut, m_eff, n_eff, lambda bounds: floor))
+
+
+def _assert_exact_above_floor(got, want, floor):
+    """Rows with T >= floor bit for bit, every other row strictly below the floor."""
+    high = want >= floor
+    assert np.array_equal(got[high].view(np.int64), want[high].view(np.int64)), floor
+    assert (got[~high] < floor).all(), floor
+
+
+_BLOCK_EDGES = [
+    # every residue of the uncut N mod 8, on the block kernel
+    *[(130, 170 + r, (3, 2)) for r in range(8)],
+    # every residue of the cut N_eff = 256 + r mod 8
+    *[(64 * 3 + r, 64, (5 + r, 11)) for r in range(8)],
+    # more ids removed than kept, on the block kernel and on prefix sums
+    (128, 128, (200, 100)), (200, 60, (0, 300)), (6, 4, (9, 3)),
+    # N_eff = 2, uncut, cut a little and cut to the last two ids
+    (1, 1, (0, 0)), (1, 1, (3, 4)), (1, 1, (300, 299)),
+    # N_eff = 256 + r, a word straddling the end of the row, uncut and cut
+    *[(100 + r, 156, removed) for r in (0, 1, 7, 8, 63) for removed in [(0, 0), (4, 9)]],
+]
+
+
+def _edge_rows(m_eff, n_eff, removed):
+    """Twelve random id rows of the uncut sample, then all ones first and all
+    zeros first."""
+    m, total = m_eff + removed[0], m_eff + n_eff + sum(removed)
+    gen = np.random.default_rng(total)
+    ids = [gen.permutation(total) for _ in range(12)] + [np.arange(total), np.r_[m:total, :m]]
+    return np.array(ids, dtype=counting._id_dtype(total))
 
 
 class TestRowKernel:
@@ -676,25 +799,33 @@ class TestRowKernel:
             assert np.array_equal(T.view(np.int64), want.view(np.int64))
             assert T[1] < 0 < T[0]
 
-    @pytest.mark.parametrize("m_eff, n_eff, removed", [
-        # every residue of the uncut N mod 8, on the block kernel
-        *[(130, 170 + r, (3, 2)) for r in range(8)],
-        # every residue of the cut N_eff = 256 + r mod 8
-        *[(64 * 3 + r, 64, (5 + r, 11)) for r in range(8)],
-        # more ids removed than kept, on the block kernel and on prefix sums
-        (128, 128, (200, 100)), (200, 60, (0, 300)), (6, 4, (9, 3)),
-        # N_eff = 2, uncut, cut a little and cut to the last two ids
-        (1, 1, (0, 0)), (1, 1, (3, 4)), (1, 1, (300, 299)),
-    ])
+    @pytest.mark.parametrize("m_eff, n_eff, removed", _BLOCK_EDGES)
     def test_block_edges_bit_identical_to_naive_formula(self, m_eff, n_eff, removed):
-        # twelve random rows, then all ones first and all zeros first
-        m, total = m_eff + removed[0], m_eff + n_eff + sum(removed)
-        gen = np.random.default_rng(total)
-        ids = [gen.permutation(total) for _ in range(12)] + [np.arange(total), np.r_[m:total, :m]]
-        ids = np.array(ids, dtype=counting._id_dtype(total))
+        ids = _edge_rows(m_eff, n_eff, removed)
         got = np.concatenate(_stored_sups(np.split(ids, [5, 6]), m_eff, n_eff, removed))
         want = _naive_sups(ids, m_eff, n_eff, removed)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_row_chunks(), st.lists(st.floats(0.0, 1.0), max_size=3))
+    def test_rows_below_the_floor_come_back_below_it(self, case, quantiles):
+        # at no floor, at each row's own T (a tie is exact) and at random
+        # quantiles of the rows' statistics
+        chunks, m_eff, n_eff, removed = case
+        want = _naive_sups(np.concatenate(chunks), m_eff, n_eff, removed)
+        for floor in [-np.inf, *want, *np.quantile(want, quantiles)]:
+            got = np.concatenate(_stored_sups(chunks, m_eff, n_eff, removed, floor))
+            _assert_exact_above_floor(got, want, floor)
+
+    @pytest.mark.parametrize("m_eff, n_eff, removed", _BLOCK_EDGES)
+    def test_block_edges_at_every_floor(self, m_eff, n_eff, removed):
+        ids = _edge_rows(m_eff, n_eff, removed)
+        want = _naive_sups(ids, m_eff, n_eff, removed)
+        floors = np.quantile(want, np.random.default_rng(len(ids[0])).random(4))
+        for floor in [-np.inf, *want, *floors, want.max() + 1.0]:
+            got = np.concatenate(_stored_sups(np.split(ids, [5, 6]), m_eff, n_eff, removed,
+                                              floor))
+            _assert_exact_above_floor(got, want, floor)
 
 
 class TestBandValue:
