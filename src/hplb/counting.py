@@ -26,16 +26,17 @@ not a violation.  `bounding.is_violated` computes the data's T with
 `_normalized_paths`, every double (V[z] - z m/N) / w(z) of the path.  The
 null rows of a band key are cut from one stored draw of permutations,
 kept as their inverse permutations and one flags (`_blocks`), so a key's
-removed ids are two column slices of the inverse (`_kept_bits`).  A cut
-row of at least `_WORD_MIN` and fewer than 2**25 ids takes the block
-kernel `_block_sups`, which reads the uncut row in words of 64 positions,
-then bytes of 8, and gives T bit for bit as `_normalized_paths` would
-wherever T reaches the floor it is given.  `is_violated` needs only the
-verdict T_obs > c, and `exceeds_band` gives it from the fewest null rows
-the Monte Carlo rank rule needs, on one memoized record per band key
-(`_BandRecord`).  A record keeps only the sims + 1 - k largest null
-statistics, the only ones that can settle the constant or a verdict, and
-the kernel need be exact only in the rows that can join them.
+removed ids are two column slices of the inverse (`_kept_bits`).  Every
+cut row takes the block kernel `_block_sups`, which reads the uncut row in
+words of 64 positions, then bytes of 8, and gives T bit for bit as
+`_normalized_paths` would wherever T reaches the floor it is given; its
+rounding argument needs N_eff < 2**25, so a band key that simulates at
+larger sizes raises ParameterError before it draws.  `is_violated` needs
+only the verdict T_obs > c, and `exceeds_band` gives it from the fewest
+null rows the Monte Carlo rank rule needs, on one memoized record per
+band key (`_BandRecord`).  A record keeps only the sims + 1 - k largest
+null statistics, the only ones that can settle the constant or a
+verdict, and the kernel need be exact only in the rows that can join them.
 
 The arguments behind these claims live in README.md, Notes: "Coupled null
 draws and the rank rule" (each cut row is an exact null path), "One
@@ -290,9 +291,12 @@ def _normalized_paths(V, m_eff: int, n_eff: int) -> np.ndarray:
 
 
 def _rank(alpha: float, m_eff: int, n_eff: int, sims: int, removed: tuple) -> int:
-    """The rank k = ceil((1-alpha)(sims+1)) of the band constant, after checking the budget."""
+    """The rank k = ceil((1-alpha)(sims+1)) of the band constant, after checking the
+    sizes (N_eff < 2**25, `_block_sups`) and the budget."""
     if m_eff < 1 or n_eff < 1:
         raise ParameterError("effective sizes must be at least 1")
+    if m_eff + n_eff >= 1 << 25:
+        raise ParameterError(f"simulated band needs m_eff + n_eff < 2**25, got {m_eff + n_eff}")
     if sims < 100:
         raise ParameterError("need at least 100 simulations")
     if not (0.0 < alpha < 1.0):
@@ -443,32 +447,6 @@ def _kept_bits(chunks, m: int, removed: tuple):
         yield bits, bits & ones
 
 
-def _sup_statistics(cut, m_eff: int, n_eff: int, floor):
-    """Yield the sup statistics of the rows of each cut chunk: the kept flags
-    and kept-one flags of `_null_draw`.  The block kernel calls `floor` on a
-    chunk's row lower bounds (each a statistic of its row) for the chunk's
-    floor: a row whose T reaches the floor gets T bit for bit, any other row
-    some value below the floor.  Prefix sums give every row exactly."""
-    if _WORD_MIN <= m_eff + n_eff < 1 << 25:
-        return _block_sups(cut, m_eff, n_eff, floor)
-    dtype = np.int16 if m_eff < 1 << 15 else np.int32
-    paths = (np.cumsum(_kept_flags(kept, kept_ones)[:, :-1], axis=1, dtype=dtype)
-             for kept, kept_ones in cut)
-    return (_normalized_paths(V, m_eff, n_eff).max(axis=1) for V in paths)
-
-
-def _kept_flags(kept: np.ndarray, kept_ones: np.ndarray) -> np.ndarray:
-    """The one flags of the kept positions, in row order, from the packed flags."""
-    keep = np.unpackbits(kept, axis=1, bitorder="little").view(bool)
-    flags = np.unpackbits(kept_ones, axis=1, bitorder="little").view(bool)
-    # np.compress on the flat arrays measured three times as fast as flags[keep]
-    return np.compress(keep.ravel(), flags.ravel()).reshape(len(kept), -1)
-
-
-# Rows of at least _WORD_MIN ids take the block kernel; on shorter rows a
-# prefix sum at every z measured faster (full records of 1000 rows, 2 vCPUs:
-# crossover near 80 ids; a row of at most 64 ids has no row lower bound).
-_WORD_MIN = 96
 # bit masks of the positions 0..j of a byte, j = 0..7
 _LOW = ((2 << np.arange(8)) - 1).astype(np.uint8)[:, None]
 # a word of byte counts (each at most 8) times _SPREAD holds in byte j the
@@ -479,7 +457,8 @@ _SPREAD = np.uint64(0x0101010101010101)
 def _block_sups(cut, m_eff: int, n_eff: int, floor):
     """Yield T = max_z (V[z] - z m_eff/N) / w(z) per row of each cut chunk, N < 2**25,
     for every row whose T reaches the chunk's floor, and a value below the
-    floor for every other row.
+    floor for every other row.  `floor` maps a chunk's row lower bounds
+    (each a statistic of its row) to the chunk's floor.
 
     A cut chunk is the kept flags and kept-one flags of the uncut rows
     (`_kept_bits`).  The doubles compared are those of `_normalized_paths`,
@@ -494,11 +473,12 @@ def _block_sups(cut, m_eff: int, n_eff: int, floor):
     reaches max(floor, L) are read in bytes, and only bytes whose U reaches
     it are evaluated, from the kept and kept-one counts among their
     positions 0..j; a row keeps L and the largest statistic evaluated.  The
-    bound needs N < 2**25, where the mean line mu[z] = fl(z m_eff/N) keeps
-    mu[zt] - mu[z] <= zt - z; README.md, Notes, "One statistic decides a
-    candidate", has the proof.  z = 0 and z = N have mean +inf and
-    statistic -inf, and a position that is not kept repeats the statistic
-    of the last kept one before it in its byte, or that of z0.
+    bound needs N < 2**25, which `_rank` checks, where the mean line
+    mu[z] = fl(z m_eff/N) keeps mu[zt] - mu[z] <= zt - z; README.md, Notes,
+    "One statistic decides a candidate", has the proof.  z = 0 and z = N
+    have mean +inf and statistic -inf, and a position that is not kept
+    repeats the statistic of the last kept one before it in its byte, or
+    that of z0.
     """
     N = m_eff + n_eff
     mean, wv = _scale_grids(m_eff, n_eff)
@@ -729,7 +709,7 @@ class _BandRecord:
         alpha, m_eff, n_eff, sims, removed = self._key
         rest = _null_draw(self._identity, m_eff + n_eff + sum(removed), sims,
                           m_eff + removed[0], removed, self._chunks)
-        yield from _sup_statistics(rest, m_eff, n_eff, lambda bounds: self._largest(bounds)[0])
+        yield from _block_sups(rest, m_eff, n_eff, lambda bounds: self._largest(bounds)[0])
 
 
 # The adaptive search evaluates many TV candidates whose binomial quantiles

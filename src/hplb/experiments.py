@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounding import BoundSpec
-from .counting import LabeledScores
+from .counting import LabeledScores, _require_integer
 from .errors import ParameterError
 from .estimators import HPLBResult, lambda_adapt, lambda_bayes, lambda_c, lambda_oracle_t
 from .mixtures import (
@@ -90,6 +90,7 @@ class ExampleSpec:
             raise ParameterError("the toy model has a fixed contamination: it takes no c or gamma")
         if self.c is None:
             object.__setattr__(self, "c", default_scale(self.example_id))
+        _require_integer("n_total", self.n_total)
         if self.n_total < 4:
             raise ParameterError("need at least 4 observations")
         if self.gamma is not None and not (-1.0 < self.gamma < 0.0):
@@ -187,6 +188,7 @@ def run_level_study(
     bound: BoundSpec | None = None,
 ) -> float:
     """Fraction of replications with lambda_hat above the true TV, at level `bound.alpha`."""
+    _require_integer("reps", reps)
     if reps < 100:
         raise ParameterError("need at least 100 replications")
     bound = bound or BoundSpec()
@@ -276,6 +278,7 @@ def run_power_grid(
     for name, grid in (("gammas", gammas), ("ns", ns)):
         if len(set(grid)) < len(grid):
             raise ParameterError(f"{name} must not repeat a value, got {list(grid)}")
+    _require_integer("reps", reps)
     if reps < 1:
         raise ParameterError(f"need at least 1 replication per cell, got reps={reps}")
     if not (0.0 < epsilon <= 1.0):

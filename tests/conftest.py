@@ -24,12 +24,12 @@ def separated_scores(m, n, tie_seed=0):
 def count_null_rows(monkeypatch):
     """Record (m_eff, n_eff, rows) for every chunk of null rows the band cuts."""
     rows = []
-    sup_statistics = counting._sup_statistics
+    block_sups = counting._block_sups
 
     def counted(cut, m_eff, n_eff, floor):
-        for T in sup_statistics(cut, m_eff, n_eff, floor):
+        for T in block_sups(cut, m_eff, n_eff, floor):
             rows.append((m_eff, n_eff, len(T)))
             yield T
 
-    monkeypatch.setattr(counting, "_sup_statistics", counted)
+    monkeypatch.setattr(counting, "_block_sups", counted)
     return rows

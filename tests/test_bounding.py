@@ -118,8 +118,7 @@ TIE_SPEC = BoundSpec(alpha=0.05, band_kind="simulated", sims=1000, seed=2)
 
 def _tie_rows():
     """Per (m, n): the constant c of TIE_SPEC at lam = 0, the null rows of its
-    seeded draw (rebuilt as 0/1 rows) whose statistic equals c, and the statistic.
-    The last three sizes take the block kernel (`counting._WORD_MIN`)."""
+    seeded draw (rebuilt as 0/1 rows) whose statistic equals c, and the statistic."""
     spec = TIE_SPEC
     a = spec.alpha / 3.0
     for m, n in [(10, 10), (20, 30), (60, 40), (8, 50), (50, 8), (100, 100), (700, 600)]:
@@ -307,8 +306,12 @@ class TestSequentialDecision:
             key = dict(alpha=a, m_eff=m_eff, n_eff=n_eff, kind=kind, sims=sims, seed=4,
                        removed=removed)
             counting.clear_band_cache()
-            record = counting._band_record(**key)
-            T = np.sort(np.concatenate(list(record._more())))
+            # every statistic of the key's null draw, exact at floor -inf
+            m, N = m_eff + removed[0], m_eff + n_eff + sum(removed)
+            cut = counting._null_draw(counting._band_record(**key)._identity, N, sims, m,
+                                      removed)
+            T = np.sort(np.concatenate(list(
+                counting._block_sups(cut, m_eff, n_eff, lambda bounds: -np.inf))))
             c = band_constant(**key).c
             assert c == max(T[k - 1], beta_threshold(a, 8) if kind == "analytic" else 0.0)
             gaps += T[k - 2] < T[k - 1]

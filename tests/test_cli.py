@@ -308,6 +308,35 @@ def test_estimate_defaults_are_the_bound_spec_defaults(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+# stdout of four seeded simulated-band commands: a change to how the null rows
+# are drawn, cut or reduced to statistics must leave every digit in place
+_SEEDED_OUTPUTS = [
+    (["estimate", "--method", "adapt", "--input", "two_sample_contamination.csv"],
+     '{"alpha": 0.05, "diagnostics": {"argmax_z": 36, "band_kind": "simulated", '
+     '"evaluations": 9}, "method": "adapt", "value": 0.08360815485448575}\n'),
+    (["estimate", "--method", "adapt", "--input", "two_sample_mirrored.csv"],
+     '{"alpha": 0.05, "diagnostics": {"argmax_z": 159, "band_kind": "simulated", '
+     '"evaluations": 8}, "method": "adapt", "value": 0.21643078131708102}\n'),
+    (["scan", "--input", "ordered_change.csv", "--splits", "0.25,0.5,0.75"],
+     '{"bounds": [0.07845902999444039, 0.3057400520114727, 0.12163082722482817], '
+     '"m_n": [[130, 370], [243, 257], [375, 125]], "skipped": [], '
+     '"splits": [0.25, 0.5, 0.75]}\n'),
+    (["pairwise", "--input", "multiclass_three.csv"],
+     '{"matrix": [[0.0, 0.0, 0.9121060339910001], [0.0, 0.0, 0.9121060339910001], '
+     '[0.9121060339910001, 0.9121060339910001, 0.0]]}\n'),
+]
+
+
+def test_seeded_simulated_band_outputs_are_pinned(capsys):
+    from hplb import cli
+
+    band = ["--band", "simulated", "--sims", "1000", "--seed", "0", "--format", "json"]
+    for argv, expected in _SEEDED_OUTPUTS:
+        argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv] + band
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected, argv
+
+
 def test_unwritable_output_exits_2_naming_the_path(tmp_path):
     out = tmp_path / "missing" / "out.csv"
     proc = run("estimate", "--input", str(DATA / "two_sample_mirrored.csv"), "--method", "bayes",

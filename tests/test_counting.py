@@ -465,7 +465,9 @@ class TestCoupledDraw:
         q_m, q_n = removed
         ids = np.concatenate(list(counting._draw_rows(RngStream(21, 0), m + n, sims)))
         (cut,) = counting._kept_bits([counting._blocks(ids, m)], m, removed)
-        kept = counting._kept_flags(*cut)
+        keep, ones = (np.unpackbits(flags, axis=1, bitorder="little").view(bool)
+                      for flags in cut)
+        kept = ones[keep].reshape(sims, -1)  # the one flags of the kept positions, in order
         m_eff, N_eff = m - q_m, m + n - q_m - q_n
         assert kept.shape == (sims, N_eff) and (kept.sum(axis=1) == m_eff).all()
         patterns = [
@@ -640,13 +642,13 @@ class _AllStatistics:
         return np.sort(self.stats)[self.k - 1]
 
 
-def _loosest(sup_statistics, near):
+def _loosest(block_sups, near):
     """A kernel that keeps the floor contract at its loosest: it offers each
     row's own T as the row's lower bound, and returns every row below the
     chunk's floor just below the floor (`near`) or at -inf."""
 
     def kernel(cut, m_eff, n_eff, floor):
-        for T in sup_statistics(cut, m_eff, n_eff, lambda bounds: -np.inf):
+        for T in block_sups(cut, m_eff, n_eff, lambda bounds: -np.inf):
             least = floor(T)
             yield np.where(T >= least, T, np.nextafter(least, -np.inf) if near else -np.inf)
 
@@ -657,9 +659,9 @@ class TestRankAwareRecord:
     @pytest.mark.parametrize("kernel", ["block", "near", "far"])
     @pytest.mark.parametrize("draw", ["stored", "over_budget"])
     @pytest.mark.parametrize("alpha, m_eff, n_eff, removed", [
-        (0.05 / 3, 150, 180, (20, 30)),  # block kernel, five statistics kept
-        (0.05, 200, 130, (0, 0)),        # block kernel, fifteen kept
-        (0.2, 50, 40, (5, 5)),           # prefix sums, sixty kept
+        (0.05 / 3, 150, 180, (20, 30)),  # N_eff = 330, five statistics kept
+        (0.05, 200, 130, (0, 0)),        # N_eff = 330, fifteen kept
+        (0.2, 50, 40, (5, 5)),           # N_eff = 90, sixty kept
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_record_matches_one_that_keeps_every_statistic(self, monkeypatch, kernel, draw,
@@ -672,8 +674,8 @@ class TestRankAwareRecord:
         # floor allows
         sims = 300
         if kernel != "block":
-            monkeypatch.setattr(counting, "_sup_statistics",
-                                _loosest(counting._sup_statistics, kernel == "near"))
+            monkeypatch.setattr(counting, "_block_sups",
+                                _loosest(counting._block_sups, kernel == "near"))
         key = dict(alpha=alpha, m_eff=m_eff, n_eff=n_eff, kind="simulated", sims=sims,
                    seed=seed, removed=removed)
         chunk_rows = (13, sims, 40)[seed]  # seed 1 draws a single chunk
@@ -718,13 +720,13 @@ def _naive_sups(ids, m_eff, n_eff, removed):
 
 @st.composite
 def _row_chunks(draw):
-    """Id chunks of null rows: sizes around multiples of 8 and the block kernel's
-    crossover, m_eff or n_eff equal to 1, nonzero removed counts, one-row
-    chunks, and the rows with all ones or all zeros first."""
-    cross = counting._WORD_MIN
-    N = draw(st.one_of(st.integers(2, 40), st.integers(cross - 20, cross + 20),
+    """Id chunks of null rows: short rows, sizes around a row of one to two
+    words and around multiples of 8, m_eff or n_eff equal to 1, nonzero
+    removed counts, one-row chunks, and the rows with all ones or all zeros
+    first."""
+    N = draw(st.one_of(st.integers(2, 40), st.integers(70, 120),
                        st.sampled_from([8 * k + d for k in (40, 63, 125, 150) for d in (-1, 0, 1)]),
-                       st.integers(cross, 1300)))
+                       st.integers(96, 1300)))
     m_eff = draw(st.one_of(st.just(1), st.just(N - 1), st.integers(1, N - 1)))
     q_m, q_n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     m, total = m_eff + q_m, N + q_m + q_n
@@ -745,7 +747,7 @@ def _stored_sups(chunks, m_eff, n_eff, removed, floor=-np.inf):
     (`_blocks`), at one floor for every chunk."""
     m = m_eff + removed[0]
     cut = counting._kept_bits((counting._blocks(ids, m) for ids in chunks), m, removed)
-    return list(counting._sup_statistics(cut, m_eff, n_eff, lambda bounds: floor))
+    return list(counting._block_sups(cut, m_eff, n_eff, lambda bounds: floor))
 
 
 def _assert_exact_above_floor(got, want, floor):
@@ -760,12 +762,17 @@ _BLOCK_EDGES = [
     *[(130, 170 + r, (3, 2)) for r in range(8)],
     # every residue of the cut N_eff = 256 + r mod 8
     *[(64 * 3 + r, 64, (5 + r, 11)) for r in range(8)],
-    # more ids removed than kept, on the block kernel and on prefix sums
+    # more ids removed than kept, at N_eff = 256, 260 and 10
     (128, 128, (200, 100)), (200, 60, (0, 300)), (6, 4, (9, 3)),
     # N_eff = 2, uncut, cut a little and cut to the last two ids
     (1, 1, (0, 0)), (1, 1, (3, 4)), (1, 1, (300, 299)),
     # N_eff = 256 + r, a word straddling the end of the row, uncut and cut
     *[(100 + r, 156, removed) for r in (0, 1, 7, 8, 63) for removed in [(0, 0), (4, 9)]],
+    # short rows, uncut and cut: a row of N_eff <= 64 has no row lower bound
+    # (L = -inf), and an uncut row of 65 or 72 ids ends in a word of one or
+    # eight positions
+    *[(N // 3 + 1, N - N // 3 - 1, removed) for N in (3, 8, 9, 63, 64, 65, 72, 95)
+      for removed in [(0, 0), (4, 9)]],
 ]
 
 
@@ -788,9 +795,9 @@ class TestRowKernel:
         want = _naive_sups(np.concatenate(chunks), m_eff, n_eff, removed)
         assert np.array_equal(np.concatenate(got).view(np.int64), want.view(np.int64))
 
-    def test_extreme_rows_on_both_paths(self):
-        # all ones first gives T > 0; all zeros first gives T < 0, which
-        # leaves every block of the row to evaluate
+    def test_extreme_rows_short_and_long(self):
+        # rows of 8 to 1300 ids: all ones first gives T > 0; all zeros first
+        # gives T < 0, which leaves every block of the row to evaluate
         for m_eff, n_eff in [(3, 5), (120, 200), (700, 600), (1, 999), (999, 1)]:
             N = m_eff + n_eff
             ids = np.array([np.arange(N), np.r_[m_eff:N, :m_eff]], dtype=np.uint16)
@@ -870,6 +877,27 @@ class TestBandCache:
         # the fallback draws at its own sizes, whatever was removed
         moved = band_constant(0.001 / 3, 5, 50, "analytic", sims=1000, seed=0, removed=(9, 4))
         assert moved is const
+
+    @pytest.mark.parametrize("kind, m_eff", [("simulated", 1 << 24), ("analytic", 3)])
+    def test_sizes_past_the_kernel_bound_are_rejected_before_drawing(self, monkeypatch, kind,
+                                                                   m_eff):
+        # the block kernel's rounding argument needs N_eff < 2**25: a key that
+        # would simulate at m_eff + n_eff = 2**25 raises before its null draw
+        # starts and leaves no record; one id fewer passes the check
+        def no_draw(*args):
+            raise AssertionError("null rows drawn")
+
+        monkeypatch.setattr(counting, "_draw_rows", no_draw)
+        a, sims = 0.05 / 3, 1000
+        key = dict(alpha=a, m_eff=m_eff, n_eff=(1 << 25) - m_eff, kind=kind, sims=sims)
+        counting.clear_band_cache()
+        with pytest.raises(ParameterError, match=r"2\*\*25"):
+            band_constant(**key)
+        with pytest.raises(ParameterError, match=r"2\*\*25"):
+            counting.exceeds_band(10.0, **key)
+        assert counting._band_records.cache_info().currsize == 0
+        k = counting._rank(a, m_eff, (1 << 25) - m_eff - 1, sims, (0, 0))
+        assert k == sims + 1 - math.floor(a * (sims + 1))
 
     def test_clear_empties_both_memos_and_warm_rerun_hits(self, monkeypatch):
         # clear_band_cache() empties the band-record and quantile memos, so

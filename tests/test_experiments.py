@@ -38,6 +38,12 @@ class TestExampleSpec:
         with pytest.raises(ParameterError):
             ExampleSpec(example_id=0, n_total=100, gamma=None, c=1.2)  # p > 1
 
+    @pytest.mark.parametrize("n_total", [400.5, 400.0, "400", True, None])
+    def test_rejects_a_non_integer_size(self, n_total):
+        # a fractional size used to reach the sampler and fail there with TypeError
+        with pytest.raises(ParameterError, match="n_total"):
+            ExampleSpec(1, n_total, c=0.1)
+
     @pytest.mark.parametrize("example_id,scale", [(0, 1.0), (1, 1.0), (2, 2.0), ("toy", 1.0)])
     def test_default_scale(self, example_id, scale):
         # the README's documented defaults: c = 2 for example 2, c = 1 otherwise;
@@ -126,6 +132,15 @@ class TestLevelStudy:
                 RngStream(0, 0),
             )
 
+    @pytest.mark.parametrize("reps", [100.5, 300.0, "300"])
+    def test_rejects_a_non_integer_replication_count(self, monkeypatch, reps):
+        drawn = []
+        monkeypatch.setattr(experiments, "gen_example", lambda *a: drawn.append(a))
+        spec = ExampleSpec(example_id=1, n_total=100, gamma=None, c=0.1)
+        with pytest.raises(ParameterError, match="reps"):
+            run_level_study(spec, "bayes", reps, RngStream(0, 0))
+        assert drawn == []
+
 
 class TestPowerGrid:
     def test_shape_and_columns(self):
@@ -160,6 +175,17 @@ class TestPowerGrid:
                 epsilon=1.0,
                 rng=RngStream(7, 0),
             )
+        assert drawn == []
+
+    @pytest.mark.parametrize("field, value", [("reps", 2.5), ("reps", 2.0), ("ns", [200.5])])
+    def test_rejects_a_non_integer_count_or_size(self, monkeypatch, field, value):
+        drawn = []
+        monkeypatch.setattr(experiments, "gen_example", lambda *a: drawn.append(a))
+        grid = dict(example=1, method="bayes", gammas=[-0.3], ns=[200], reps=2, epsilon=1.0,
+                    rng=RngStream(7, 0))
+        grid[field] = value
+        with pytest.raises(ParameterError, match="n_total" if field == "ns" else "reps"):
+            run_power_grid(**grid)
         assert drawn == []
 
     def test_bit_exact_determinism(self):
