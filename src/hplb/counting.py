@@ -34,8 +34,9 @@ rounding argument needs N_eff < 2**25, so a band key that simulates at
 larger sizes raises ParameterError before it draws.  `is_violated` needs
 only the verdict T_obs > c, and `exceeds_band` gives it from the fewest
 null rows the Monte Carlo rank rule needs, on one memoized record per
-band key (`_BandRecord`).  A record keeps only the sims + 1 - k largest
-null statistics, the only ones that can settle the constant or a
+band key (`_BandRecord`), which cuts them in groups of 1, 2, then 4
+chunks, one kernel call a group.  A record keeps only the sims + 1 - k
+largest null statistics, the only ones that can settle the constant or a
 verdict, and the kernel need be exact only in the rows that can join them.
 
 The arguments behind these claims live in README.md, Notes: "Coupled null
@@ -332,18 +333,28 @@ def simulate_null_sup_quantile(
                        tuple(removed)).constant()
 
 
-# The null draw comes in row chunks of at most _CHUNK_IDS ids, which also
-# bounds the temporaries of a key's statistics: 32 rows at N = 4000.  A
-# chunk is kept as its inverse permutation and one flags (`_blocks`), one
-# buffer of 2 or 4 bytes an id plus N bits a row in whole 8-byte words, at
-# least 128 KiB when the chunk is whole (the flags kept as separate 16 KiB
-# arrays pinned the top of the heap, leaving 17 MB free there against 1 MB).
+# The null draw comes in row chunks of at most _CHUNK_IDS ids, 32 rows at
+# N = 4000, and the kernel reads at most _GROUP_CHUNKS of them a call, which
+# bounds the temporaries of a key's statistics.  A chunk is kept as its
+# inverse permutation and one flags (`_blocks`), one buffer of 2 or 4 bytes
+# an id plus N bits a row in whole 8-byte words, at least 128 KiB when the
+# chunk is whole (the flags kept as separate 16 KiB arrays pinned the top
+# of the heap, leaving 17 MB free there against 1 MB).
 # A draw whose ids take at most _DRAW_BUDGET bytes (N <= 33554 with 1000
 # sims) is kept for the next query, its flags adding 1/16 at 2 bytes an id;
 # a larger one (N near 1e5 with 1000 sims) is drawn again from the start of
 # its stream for every query that reads it, with the same values.
 _CHUNK_IDS = 1 << 17
 _DRAW_BUDGET = 64 << 20
+# A query cuts the chunks after the record's in groups, one kernel call a
+# group: one chunk, then two, then _GROUP_CHUNKS a group while it stays open
+# (`_groups`).  A query that one chunk settles cuts no more rows than it
+# would chunk by chunk, and a long one pays the kernel's fixed cost a
+# quarter as often.  The kernel's largest temporaries take 64 bytes a word
+# that it reads in bytes, 516 KB for a group of four 32-row chunks at
+# N = 4000 were every word read; the seed-1 estimate_cli commands read at
+# most 738 of a group's 8000 words at N = 8000.
+_GROUP_CHUNKS = 4
 # The np.intp shuffle scratch of `_draw_rows` holds at most _SCRATCH_IDS ids
 # (128 KiB), an eighth of what a whole chunk would take.
 _SCRATCH_IDS = 1 << 14
@@ -445,6 +456,35 @@ def _kept_bits(chunks, m: int, removed: tuple):
             flat[ids + offsets] = False
         bits = np.packbits(flags, axis=1, bitorder="little")
         yield bits, bits & ones
+
+
+def _groups(cut, sizes: list):
+    """Yield the cut chunks (`_kept_bits`) joined in groups of 1, 2, then
+    _GROUP_CHUNKS chunks, appending each group's number of chunks to `sizes`.
+
+    A group of several chunks is one flags buffer, made at the first such
+    group with room for _GROUP_CHUNKS chunks and reused by every later one.
+    Each chunk is copied in as soon as it is cut: holding a group's chunks
+    until the last was cut left them between the cut's larger temporaries,
+    and raised the peak heap of the estimate_cli benchmark by about 1 MB.
+    """
+    flags, size = None, 1
+    for first in cut:
+        if size == 1:
+            sizes.append(1)
+            yield first
+        else:
+            if flags is None:
+                flags = np.empty((2, _GROUP_CHUNKS * len(first[0]), first[0].shape[1]), np.uint8)
+            rows = 0
+            group = itertools.chain([first], itertools.islice(cut, size - 1))
+            for chunks, (kept, ones) in enumerate(group, 1):
+                flags[0, rows:rows + len(kept)] = kept
+                flags[1, rows:rows + len(kept)] = ones
+                rows += len(kept)
+            sizes.append(chunks)
+            yield flags[0, :rows], flags[1, :rows]
+        size = min(2 * size, _GROUP_CHUNKS)
 
 
 # bit masks of the positions 0..j of a byte, j = 0..7
@@ -628,13 +668,15 @@ class _BandRecord:
     reach t, so those statistics count the rows below any t that they do
     not settle outright, and the least of them is c once every row is cut.
     Every query runs one loop (`_settle`): it counts the rows below t from
-    the kept statistics, then cuts the draw's later chunks in draw order
-    until the rank rule settles its verdict (`_verdict`).  A chunk is exact
-    only in the rows that can join the reach largest statistics (`_more`);
-    its other rows change neither them nor the verdict the chunk ends on
-    (README.md, Notes, "A verdict reads as few null rows as the rank rule
-    needs").  A loop that cuts to the end of the draw completes the record,
-    and `constant` is that loop run to the end: then c is known, the kept
+    the kept statistics, then cuts the draw's later chunks in draw order,
+    in groups of 1, 2, then _GROUP_CHUNKS chunks from where the record
+    stands, until the rank rule settles its verdict (`_verdict`) at the end
+    of a group.  A group is cut as one chunk, exact only in the rows that
+    can join the reach largest statistics (`_more`); its other rows change
+    neither them nor the verdict the group ends on (README.md, Notes, "A
+    verdict reads as few null rows as the rank rule needs").  A loop that
+    cuts to the end of the draw completes the record, and `constant` is
+    that loop run to the end: then c is known, the kept
     statistics are dropped and every query is one comparison.  A draw over
     `_DRAW_BUDGET` is not stored, so a resumed query draws the chunks it
     skips again, but cuts only the ones after them.
@@ -673,13 +715,13 @@ class _BandRecord:
         A cut to the end of the draw completes the record."""
         sims = self._key[3]
         below = 0 if t is None else self._rows - int(np.count_nonzero(self._stats >= t))
-        chunks = self._more()
+        groups = self._more()
         while self._rows < sims and (t is None or self._verdict(below) is None):
-            T = next(chunks)
+            T, chunks = next(groups)
             if t is not None:
                 below += int(np.count_nonzero(T < t))
             self._stats[:] = self._largest(T)
-            self._rows, self._chunks = self._rows + len(T), self._chunks + 1
+            self._rows, self._chunks = self._rows + len(T), self._chunks + chunks
         if self._rows < sims:
             return self._verdict(below)
         alpha, m_eff, n_eff = self._key[:3]
@@ -704,12 +746,17 @@ class _BandRecord:
 
     def _more(self):
         """The sup statistics of the draw's chunks after those already cut,
-        drawn on the first request.  A chunk's floor is the _reach-th largest
-        of the kept statistics and its row lower bounds."""
+        drawn on the first request, one group of chunks at a time (`_groups`),
+        each with its number of chunks.  A group is cut as one chunk: its
+        floor is the _reach-th largest of the kept statistics and its row
+        lower bounds."""
         alpha, m_eff, n_eff, sims, removed = self._key
         rest = _null_draw(self._identity, m_eff + n_eff + sum(removed), sims,
                           m_eff + removed[0], removed, self._chunks)
-        yield from _block_sups(rest, m_eff, n_eff, lambda bounds: self._largest(bounds)[0])
+        sizes = []
+        for T in _block_sups(_groups(rest, sizes), m_eff, n_eff,
+                             lambda bounds: self._largest(bounds)[0]):
+            yield T, sizes[-1]
 
 
 # The adaptive search evaluates many TV candidates whose binomial quantiles

@@ -17,6 +17,7 @@ import functools
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["RngStream"]
 
@@ -31,6 +32,23 @@ def _philox_key(root_seed: int, stream_id: int, tags: tuple) -> np.ndarray:
     material = repr((int(root_seed), int(stream_id), tags)).encode("utf-8")
     digest = hashlib.sha256(material).digest()
     return np.frombuffer(digest[:16], dtype=np.uint64)
+
+
+class _PhiloxKey(ISeedSequence):
+    """The seed of a Philox generator that gives it `key` and counter 0.
+
+    `Philox(key=...)` first builds a SeedSequence from OS entropy and then
+    discards it.  Philox asks this seed for its key alone, two uint64
+    words, which `generate_state` returns as they are.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 class RngStream:
@@ -59,7 +77,7 @@ class RngStream:
 
     @functools.cached_property
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=_philox_key(*self.identity)))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(_philox_key(*self.identity))))
 
     @property
     def identity(self) -> tuple:

@@ -615,8 +615,10 @@ class TestCoupledDraw:
 
 class _AllStatistics:
     """Reference band record: every one of the `sims` statistics of the key's
-    null draw (`_naive_sups`), cut chunk by chunk in draw order until the
-    rank rule settles a query, as a record that keeps them all would."""
+    null draw (`_naive_sups`), cut in draw order until the rank rule settles
+    a query, as a record that keeps them all would.  A query reads 1, 2, 4,
+    4, ... chunks at a time from where the record stands, and settles only
+    at the end of such a group."""
 
     def __init__(self, alpha, m_eff, n_eff, kind, sims, seed, removed):
         m, n = m_eff + removed[0], n_eff + removed[1]
@@ -628,7 +630,13 @@ class _AllStatistics:
         self.rows = 0
 
     def exceeds(self, t):
-        for rows in [self.rows, *self.ends[self.ends > self.rows]]:
+        chunks = int(np.searchsorted(self.ends, self.rows, side="right"))
+        stops, size = [self.rows], 1
+        while chunks < len(self.ends):
+            chunks = min(chunks + size, len(self.ends))
+            stops.append(self.ends[chunks - 1])
+            size = min(2 * size, 4)
+        for rows in stops:
             self.rows = int(rows)
             below = int(np.count_nonzero(self.stats[:rows] < t))
             if below >= self.k:
@@ -702,6 +710,33 @@ class TestRankAwareRecord:
             assert record._rows == want.rows
             assert record._stats is None or record._stats.size <= reach
         assert record._rows == sims and record.const.c == c
+        counting.clear_band_cache()
+
+    @pytest.mark.parametrize("draw", ["stored", "over_budget"])
+    def test_a_query_cuts_its_chunks_in_groups_of_one_two_four(self, monkeypatch, draw):
+        # one record queried from far below its constant to just above it, in
+        # chunks of 10 rows: each query calls the kernel on 1, 2, 4, 4, ...
+        # chunks from where the record stands, the last call ending at the
+        # draw's end, and each verdict is the constant's
+        key = dict(alpha=0.05, m_eff=60, n_eff=50, kind="simulated", sims=400, seed=3,
+                   removed=(4, 6))
+        counting.clear_band_cache()
+        c = band_constant(**key).c
+        monkeypatch.setattr(counting, "_CHUNK_IDS", 10 * 120)  # forty chunks
+        if draw == "over_budget":
+            monkeypatch.setattr(counting, "_DRAW_BUDGET", 0)
+        rows = count_null_rows(monkeypatch)
+        counting.clear_band_cache()
+        calls = []
+        for t in [c - 2.0, c - 0.6, c - 0.3, c - 0.1, c, np.nextafter(c, np.inf)]:
+            rows.clear()
+            assert counting.exceeds_band(t, **key) == (t > c), t
+            assert all(r % 10 == 0 for _, _, r in rows)
+            calls.append([r // 10 for _, _, r in rows])
+            assert counting._band_record(**key)._rows == 10 * sum(map(sum, calls))
+        assert calls == [[1, 2], [1, 2, 4], [1, 2, 4, 4], [1, 2, 4, 4, 4], [], [1, 2, 1]]
+        rows.clear()
+        assert band_constant(**key).c == c and rows == []
         counting.clear_band_cache()
 
 
@@ -788,7 +823,7 @@ def _edge_rows(m_eff, n_eff, removed):
 class TestRowKernel:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_row_chunks())
-    def test_sup_statistics_bit_identical_to_naive_formula(self, case):
+    def test_block_sups_bit_identical_to_naive_formula(self, case):
         chunks, m_eff, n_eff, removed = case
         got = _stored_sups(chunks, m_eff, n_eff, removed)
         assert [len(T) for T in got] == [len(ids) for ids in chunks]

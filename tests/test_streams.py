@@ -61,6 +61,22 @@ def test_a_stream_draws_what_its_philox_key_gives():
         assert np.array_equal(stream.normal(1.0, 2.0, 8), expect.normal(1.0, 2.0, 8))
 
 
+def test_a_stream_generator_is_philox_at_its_key_and_counter_zero():
+    # the key-only seed gives the state that Philox(key=...) does
+    for identity in [(3, 0, ()), (2 ** 40, 7, ("rep", 5)), (0, 0, ("null-band", 2, 2, 100, 0.05))]:
+        got, want = RngStream(*identity).generator, _eager(*identity)
+        state, expect = got.bit_generator.state, want.bit_generator.state
+        assert state["bit_generator"] == expect["bit_generator"] == "Philox"
+        for name in ("counter", "key"):
+            assert np.array_equal(state["state"][name], expect["state"][name])
+        assert not state["state"]["counter"].any()
+        assert {k: v for k, v in state.items() if k not in ("state", "buffer")} == \
+            {k: v for k, v in expect.items() if k not in ("state", "buffer")}
+        assert np.array_equal(state["buffer"], expect["buffer"])
+        assert np.array_equal(got.integers(0, 2 ** 63 - 1, size=16),
+                              want.integers(0, 2 ** 63 - 1, size=16))
+
+
 def test_a_child_of_a_stream_that_never_drew_draws_the_same():
     parent = RngStream(9, 4)
     child = parent.child("rep", 2)
