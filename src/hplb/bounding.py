@@ -56,6 +56,8 @@ class BoundSpec:
         _require_integer("seed", self.seed)
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if 1.0 - self.alpha / 3.0 == 1.0:  # the quantile level and beta's log(1 - alpha/3)
+            raise ParameterError(f"alpha is too small: 1 - alpha/3 rounds to 1 at {self.alpha}")
         if self.band_kind not in ("analytic", "simulated"):
             raise ParameterError(f"unknown band kind {self.band_kind!r}")
         if self.sims < 100:  # the analytic band simulates below m_eff = 8
@@ -124,20 +126,23 @@ def is_violated(path: CountingPath, lambda_tilde: float, spec: BoundSpec):
     Only the middle branch z = q_m + 1, ..., m + n_eff - 1 can be exceeded
     (V[z] <= min(z, m) always).  The candidate is violated exactly when the
     reduced path V[q_m + z] - q_m has a normalized sup statistic T_obs, by
-    the formula that simulates null paths of m_eff ones among n_eff zeros,
-    above the band constant c.  A tie is not a violation: the rank rule
-    bounds P(T > c).  The z returned is T_obs's argmax on the full path.
-    A simulated c is not computed for the verdict: `exceeds_band` decides
-    T_obs > c from as few null rows as the rank rule needs, with the
-    verdict that c itself would give.
+    the formula that simulates null paths of m_eff ones among n_eff zeros
+    (`_normalized_paths`), above the band constant c.  The reduced path and
+    its statistic share one buffer of doubles cut from `path.v_float`;
+    V - q_m is exact as a double, so T_obs is the double that the integer
+    path gives.  A tie is not a violation: the rank rule bounds P(T > c).
+    The z returned, for a violated candidate only, is T_obs's first argmax
+    on the full path.  A simulated c is not computed for the verdict:
+    `exceeds_band` decides T_obs > c from as few null rows as the rank rule
+    needs, with the verdict that c itself would give.
     """
     m, n = path.m, path.n
     sizes = effective_sizes(lambda_tilde, m, n, spec)
     if sizes.m_eff == 0 or sizes.n_eff == 0:
         return False, None
-    reduced = path.v[sizes.q_m:m + sizes.n_eff - 1] - sizes.q_m
-    stat = _normalized_paths(reduced, sizes.m_eff, sizes.n_eff)
-    k = int(np.argmax(stat))
+    stat = path.v_float[sizes.q_m:m + sizes.n_eff - 1] - sizes.q_m
+    _normalized_paths(stat, sizes.m_eff, sizes.n_eff, out=stat)
+    k = int(stat.argmax())  # an argmax and one read cost less than stat.max()
     if exceeds_band(float(stat[k]), **_band_key(sizes, spec)):
         return True, sizes.q_m + 1 + k
     return False, None

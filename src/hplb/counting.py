@@ -49,6 +49,7 @@ at beta(alpha, 8)".
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -149,6 +150,13 @@ class CountingPath:
         z = np.arange(1, N)
         if (v > np.minimum(z, m)).any() or (v < z - n).any():
             raise ParameterError("path leaves the [z - n, min(z, m)] envelope")
+
+    @functools.cached_property
+    def v_float(self) -> np.ndarray:
+        """V as read-only doubles, made on first use: exact while |V| < 2**53."""
+        v = self.v.astype(float)
+        v.setflags(write=False)
+        return v
 
 
 def build_counting_path(data: LabeledScores) -> CountingPath:
@@ -280,13 +288,14 @@ def _scale_grid(m_eff: int, n_eff: int):
     return z, w
 
 
-def _normalized_paths(V, m_eff: int, n_eff: int) -> np.ndarray:
-    """(V[z] - z m_eff/N_eff) / w(z, m_eff, n_eff), z = 1..N_eff-1.
+def _normalized_paths(V, m_eff: int, n_eff: int, out=None) -> np.ndarray:
+    """(V[z] - z m_eff/N_eff) / w(z, m_eff, n_eff), z = 1..N_eff-1, written to
+    `out` if given (which may be V itself, as doubles).
 
     V is a counting path at sizes (m_eff, n_eff), or holds one per row.
     """
     mean, wv = _scale_grids(m_eff, n_eff)
-    X = np.subtract(V, mean)
+    X = np.subtract(V, mean, out=out)
     X /= wv
     return X
 

@@ -167,30 +167,38 @@ def lambda_adapt(data: LabeledScores, spec: BoundSpec | None = None) -> HPLBResu
 
 
 def adapt_from_path(path: CountingPath, spec: BoundSpec) -> HPLBResult:
-    """lambda_adapt on a prebuilt counting path."""
-    verdicts = {}  # (q_m, q_n) -> is_violated at a candidate with those quantiles
+    """lambda_adapt on a prebuilt counting path.
+
+    Checks lam = 0, then bisects the double lam in [0, 1] until the two
+    ends are adjacent doubles.  Each end keeps its (q_m, q_n) pair, the
+    quantiles of `effective_sizes` read from the quantile memo.  A midpoint
+    with the pair of an end has that end's verdict and moves it with no
+    call; any other pair is decided by `is_violated`, once per distinct
+    pair, and counted in `evaluations`.
+    """
     level = 1.0 - spec.alpha / 3.0
-
-    def verdict(lam: float):
-        # the (q_m, q_n) of `effective_sizes`, read from the quantile memo;
-        # every lam here lies in [0, 1), and the memo maps p = 0 to 0
-        q_m = _binom_quantile(level, lam, path.m)
-        key = (q_m, q_m if path.n == path.m else _binom_quantile(level, lam, path.n))
-        hit = verdicts.get(key)
-        if hit is None:
-            hit = verdicts[key] = is_violated(path, lam, spec)
-        return hit
-
-    # `below` is the verdict at lo.  At 1 the middle branch is empty, so 1
-    # is never refuted.
-    below = verdict(0.0)
-    lo, value = 0.0, (1.0 if below[0] else 0.0)
+    m, n = path.m, path.n
+    below = is_violated(path, 0.0, spec)  # `below` is the verdict at lo
+    verdicts = {(0, 0): below}
+    # At 1 the middle branch is empty, so 1 is never refuted.  Its pair is
+    # left unknown (None): a pair (m, n) below 1 takes a call of its own.
+    lo, lo_pair = 0.0, (0, 0)
+    value, hi_pair = (1.0 if below[0] else 0.0), None
     while lo < (mid := (lo + value) / 2.0) < value:
-        hit = verdict(mid)
-        if hit[0]:
-            lo, below = mid, hit
-        else:
+        q_m = _binom_quantile(level, mid, m)
+        pair = (q_m, q_m if n == m else _binom_quantile(level, mid, n))
+        if pair == lo_pair:
+            lo = mid
+        elif pair == hi_pair:
             value = mid
+        else:
+            hit = verdicts.get(pair)
+            if hit is None:
+                hit = verdicts[pair] = is_violated(path, mid, spec)
+            if hit[0]:
+                lo, lo_pair, below = mid, pair, hit
+            else:
+                value, hi_pair = mid, pair
     return HPLBResult(
         value=value,
         method="adapt",

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_null_rows
+from conftest import count_null_rows, separated_scores
 from hplb import (
     BoundSpec,
     CountingPath,
@@ -226,6 +226,84 @@ class TestIsViolated:
             prev = cur
 
 
+def _last_split_candidate(m, n, spec):
+    """The largest double lam whose pair leaves m_eff >= 1 and n_eff >= 1."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        sizes = effective_sizes(mid, m, n, spec)
+        if sizes.m_eff >= 1 and sizes.n_eff >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestVerdictStatistic:
+    """is_violated's T_obs and witness, computed on a float copy of V, against
+    `_normalized_paths` on the reduced integer path."""
+
+    @staticmethod
+    def _verdict(monkeypatch, path, lam, spec):
+        # the T_obs that is_violated hands to exceeds_band, and the witness
+        # it returns when the band is taken as exceeded
+        seen = []
+
+        def exceeded(t_obs, **key):
+            seen.append(t_obs)
+            return True
+
+        monkeypatch.setattr(bounding, "exceeds_band", exceeded)
+        hit, z = is_violated(path, lam, spec)
+        assert hit and len(seen) == 1
+        return seen[0], z
+
+    @staticmethod
+    def _reference(path, lam, spec):
+        sizes = effective_sizes(lam, path.m, path.n, spec)
+        reduced = path.v[sizes.q_m:path.m + sizes.n_eff - 1] - sizes.q_m
+        assert reduced.dtype == np.int64
+        stat = counting._normalized_paths(reduced, sizes.m_eff, sizes.n_eff)
+        return sizes, stat
+
+    def _check(self, monkeypatch, path, lam, spec=ANALYTIC):
+        sizes, stat = self._reference(path, lam, spec)
+        t_obs, z = self._verdict(monkeypatch, path, lam, spec)
+        assert type(t_obs) is float
+        assert t_obs.hex() == float(stat.max()).hex()
+        assert z == sizes.q_m + 1 + int(np.argmax(stat))
+        return sizes, stat
+
+    @pytest.mark.parametrize("m, n, shift", [(300, 300, 0.5), (120, 380, 1.0), (400, 90, 2.0)])
+    def test_first_interior_and_last_pair(self, monkeypatch, m, n, shift):
+        rng = np.random.default_rng(m + n)
+        scores = np.concatenate([rng.normal(-shift, 1.0, m), rng.normal(0.0, 1.0, n)])
+        path = build_counting_path(LabeledScores(scores, np.repeat([0, 1], [m, n])))
+        last = _last_split_candidate(m, n, ANALYTIC)
+        seen = [self._check(monkeypatch, path, lam)[0] for lam in (0.0, last / 2.0, last)]
+        assert seen[0].q_m == seen[0].q_n == 0
+        assert 0 < seen[1].q_m < m - 1 and 0 < seen[1].q_n < n - 1
+        assert min(seen[2].m_eff, seen[2].n_eff) == 1
+        sizes = effective_sizes(np.nextafter(last, 1.0), m, n, ANALYTIC)
+        assert min(sizes.m_eff, sizes.n_eff) == 0
+
+    @pytest.mark.parametrize("k", [5, 50, 500])
+    def test_a_repeated_maximum_keeps_its_first_argmax(self, monkeypatch, k):
+        # one label-0 first, then (1, 0) pairs, a label-1 last: the statistic's
+        # maximum 1 / (2 w(1)) is reached at z = 1 and again at z = N - 1
+        labels = np.array([0] + [1, 0] * (k - 1) + [1])
+        path = _path_from(np.cumsum(labels == 0)[:-1], k, k)
+        _, stat = self._check(monkeypatch, path, 0.0)
+        assert np.flatnonzero(stat == stat.max()).tolist() == [0, 2 * k - 2]
+
+    def test_near_one_hundred_thousand_scores(self, monkeypatch):
+        m, n = 52_000, 47_000
+        rng = np.random.default_rng(5)
+        scores = np.concatenate([rng.normal(-0.2, 1.0, m), rng.normal(0.0, 1.0, n)])
+        path = build_counting_path(LabeledScores(scores, np.repeat([0, 1], [m, n])))
+        for lam in (0.0, 0.01, 0.3):
+            self._check(monkeypatch, path, lam)
+
+
 class TestSequentialDecision:
     """is_violated decides T_obs > c from the null rows that settle it, and
     its verdict is always that of the completed constant."""
@@ -427,6 +505,19 @@ def test_boundspec_validation():
     with pytest.raises(ParameterError):
         BoundSpec(band_kind="analytic", sims=99)
     BoundSpec(band_kind="analytic", sims=100)
+
+
+def test_boundspec_rejects_an_alpha_that_leaves_the_quantile_level_at_one():
+    # 1 - alpha/3 rounded to 1.0 sent beta_threshold into log(0), a math
+    # domain error, where a usage error belongs
+    for alpha in (1e-17, 1.6e-16, 5e-324):
+        assert 1.0 - alpha / 3.0 == 1.0
+        for kind in ("analytic", "simulated"):
+            with pytest.raises(ParameterError, match="alpha"):
+                BoundSpec(alpha=alpha, band_kind=kind)
+    for alpha in (1.7e-16, 1e-15):
+        spec = BoundSpec(alpha=alpha, band_kind="analytic")
+        assert lambda_adapt(separated_scores(400, 400), spec).value > 0.0
 
 
 def test_quantile_convention_shared_with_envelope():

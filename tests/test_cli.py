@@ -155,13 +155,14 @@ _POWERGRID = ("powergrid", "--example", "2", "--method", "adapt", "--reps", "2")
     ("simulate", "--example", "toy", "--n", "100", "--gamma", "-0.5"),
     ("level", "--example", "toy", "--n", "100", "--method", "c", "--c", "0.9"),
     (*_ESTIMATE, "--alpha", "1.5"),
+    (*_ESTIMATE, "--band", "analytic", "--alpha", "1e-17"),
     (*_ESTIMATE, "--sims", "50"),
     ("level", "--example", "1", "--n", "100", "--method", "c", "--reps", "0"),
     ("estimate", "--input", str(DATA), "--method", "bayes"),
 ], ids=["gamma-list", "ns-list", "splits-list", "splits-none", "splits-empty-entry",
         "splits-nan", "splits-repeated", "ns-none", "grid-repeated", "gammas-repeated",
         "ns-repeated", "toy-c", "toy-gamma", "toy-level-c",
-        "alpha", "sims", "reps", "unreadable-input"])
+        "alpha", "alpha-level-rounds-to-one", "sims", "reps", "unreadable-input"])
 def test_usage_errors_exit_2(capsys, argv):
     # a malformed or meaningless input is a usage error, never an internal one
     from hplb import cli

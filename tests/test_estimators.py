@@ -278,14 +278,85 @@ class TestAdaptExhaustive:
     )
     def test_value_is_the_infimum_on_a_non_monotone_sample(self):
         spec = BoundSpec()
-        rng = np.random.default_rng(8)
-        m, n = (int(k) for k in rng.integers(2, 150, size=2))
-        shift = rng.uniform(0.0, 3.0)
-        path = build_counting_path(_shifted_normals(rng, m, n, shift))
+        path = _pocket_path()
         lefts, refuted = _exhaustive_scan(path, spec)
         first = int(np.argmin(refuted))
         assert refuted[first + 1:].any()
         assert adapt_from_path(path, spec).value == pytest.approx(lefts[first], rel=1e-9)
+
+
+def _reference_adapt(path, spec, decide):
+    """The bisection of adapt_from_path as it was before its ends kept their
+    pairs: every candidate looks its (q_m, q_n) pair up in a dict of verdicts,
+    and `decide` (is_violated) settles each new pair."""
+    verdicts = {}
+    level = 1.0 - spec.alpha / 3.0
+
+    def verdict(lam):
+        key = (binom_quantile(level, lam, path.m), binom_quantile(level, lam, path.n))
+        hit = verdicts.get(key)
+        if hit is None:
+            hit = verdicts[key] = decide(path, lam, spec)
+        return hit
+
+    below = verdict(0.0)
+    lo, value = 0.0, (1.0 if below[0] else 0.0)
+    while lo < (mid := (lo + value) / 2.0) < value:
+        hit = verdict(mid)
+        if hit[0]:
+            lo, below = mid, hit
+        else:
+            value = mid
+    return value, below[1], len(verdicts)
+
+
+def _pocket_path():
+    """The sample of the strict xfail below: m = 108, n = 50, refutation not
+    monotone in lam."""
+    rng = np.random.default_rng(8)
+    m, n = (int(k) for k in rng.integers(2, 150, size=2))
+    shift = rng.uniform(0.0, 3.0)
+    return build_counting_path(_shifted_normals(rng, m, n, shift))
+
+
+class TestSearchCalls:
+    """adapt_from_path makes the is_violated calls of the reference bisection."""
+
+    @pytest.mark.parametrize(
+        "spec", [ANALYTIC, BoundSpec(alpha=0.1, band_kind="simulated", sims=200, seed=1),
+                 BoundSpec()],
+        ids=["analytic", "simulated", "default"])
+    def test_same_calls_in_the_same_order(self, spec, monkeypatch):
+        from hplb import estimators
+
+        def recorded(calls):
+            def decide(path, lam, spec):
+                sizes = effective_sizes(lam, path.m, path.n, spec)
+                calls.append((lam.hex(), sizes.q_m, sizes.q_n))
+                return is_violated(path, lam, spec)
+            return decide
+
+        rng = np.random.default_rng(26)
+        paths = [build_counting_path(_shifted_normals(rng, m, n, shift))
+                 for m, n, shift in ((80, 80, 1.0), (300, 300, 0.4), (4, 4, 3.0), (6, 6, 0.0),
+                                     (30, 150, 1.5), (150, 30, 1.5), (3, 45, 3.0),
+                                     (45, 3, 3.0), (700, 420, 0.6))]
+        paths.append(_pocket_path())
+        assert (paths[-1].m, paths[-1].n) == (108, 50)
+        emptied = 0
+        for path in paths:
+            calls, expected = [], []
+            monkeypatch.setattr(estimators, "is_violated", recorded(calls))
+            result = adapt_from_path(path, spec)
+            value, argmax_z, evaluations = _reference_adapt(path, spec, recorded(expected))
+            assert calls == expected
+            assert result.value.hex() == value.hex()
+            assert result.diagnostics.argmax_z == argmax_z
+            assert result.diagnostics.evaluations == evaluations == len(calls)
+            emptied += any(q_m == path.m or q_n == path.n for _, q_m, q_n in calls)
+        # a pair with an empty middle branch below lam = 1 is checked, not
+        # taken for the pair of the upper end 1
+        assert emptied >= 1
 
 
 class TestLevel:
